@@ -41,6 +41,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .stable_graphs import _compositions
 
 __all__ = [
     "RubberVertex",
@@ -698,19 +699,6 @@ def enumerate_bipartite(gamma, bounds=None):
 def _subsets(items):
     for k in range(len(items) + 1):
         yield from itertools.combinations(items, k)
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def rho_minus(mu, r):

@@ -3,7 +3,9 @@ and the loop-identity divergence table.
 
 All numeric output is exact ("p/q"); identical configurations produce
 byte-identical output.  Exit codes: 0 success, 1 verdict failure (a nonzero
-vanishing pairing), 2 usage error.
+vanishing pairing), 2 usage error, 3 a capability limit of the engine, 4 an
+internal-consistency failure (polynomiality or held-out check); codes 3 and
+4 print one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -14,15 +16,13 @@ import json
 import sys
 from dataclasses import dataclass, asdict
 from fractions import Fraction
+from typing import NoReturn
 
 import click
 
-from .stable_graphs import (
-    enumerate_stable_graphs,
-    automorphism_count,
-    ComplexityBoundError,
-)
-from .intersection import save_psi_cache
+from .stable_graphs import enumerate_stable_graphs, automorphism_count
+from .intersection import ProductCapabilityError, PullbackUnavailableError
+from .weightsums import UnsupportedWeightingSum
 from .pixton import (
     r_polynomial,
     constant_term,
@@ -49,7 +49,6 @@ class RunConfig:
     bounds: int | None = None
     format: str = "json"
     out: str | None = None
-    seed: int | None = None
 
     def as_json_obj(self) -> dict:
         obj = asdict(self)
@@ -86,6 +85,11 @@ def _render_csv(rows: list[dict], columns: list[str]) -> str:
     return buf.getvalue()
 
 
+def _fail(exc: Exception, code: int) -> NoReturn:
+    click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+    sys.exit(code)
+
+
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
@@ -108,8 +112,7 @@ def main() -> None:
 @click.option("--bounds", type=int, default=None, help="complexity bound override")
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="json")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None)
-def cmd_stable_graphs(genus, legs, bounds, fmt, out, seed):
+def cmd_stable_graphs(genus, legs, bounds, fmt, out):
     """List all stable-graph isomorphism classes of one moduli type."""
     config = RunConfig(
         command="stable-graphs",
@@ -118,12 +121,11 @@ def cmd_stable_graphs(genus, legs, bounds, fmt, out, seed):
         bounds=bounds,
         format=fmt,
         out=out,
-        seed=seed,
     )
     kwargs = {} if bounds is None else {"complexity_bound": bounds}
     try:
         graphs = enumerate_stable_graphs(genus, legs, **kwargs)
-    except (ValueError, ComplexityBoundError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     listing = [
         {
@@ -179,8 +181,7 @@ def cmd_stable_graphs(genus, legs, bounds, fmt, out, seed):
 @click.option("--r-samples", "r_samples_text", type=str, default=None)
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="json")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None)
-def cmd_dr(genus, a_text, degree, r_samples_text, fmt, out, seed):
+def cmd_dr(genus, a_text, degree, r_samples_text, fmt, out):
     """Build the r-polynomial class, its constant term, and the verdict."""
     a_vector = _parse_int_list(a_text, "--a")
     r_samples = (
@@ -194,7 +195,6 @@ def cmd_dr(genus, a_text, degree, r_samples_text, fmt, out, seed):
         r_samples=r_samples,
         format=fmt,
         out=out,
-        seed=seed,
     )
     n = len(a_vector)
     dim = 3 * genus - 3 + n
@@ -216,12 +216,15 @@ def cmd_dr(genus, a_text, degree, r_samples_text, fmt, out, seed):
                 "pairings": [],
                 "verdict": "not-applicable",
             }
-    except (HeldOutMismatchError, PolynomialityError):
-        raise
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    except (
+        UnsupportedWeightingSum, ProductCapabilityError, PullbackUnavailableError
+    ) as exc:
+        _fail(exc, 3)
+    except (HeldOutMismatchError, PolynomialityError) as exc:
+        _fail(exc, 4)
     report["config"] = config.as_json_obj()
-    save_psi_cache()
 
     verdict = report.get("verdict")
     if fmt == "json":
@@ -264,14 +267,11 @@ def cmd_dr(genus, a_text, degree, r_samples_text, fmt, out, seed):
 @click.argument("max_level", type=int)
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="json")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None)
-def cmd_loop_demo(max_level, fmt, out, seed):
+def cmd_loop_demo(max_level, fmt, out):
     """Partial sums of the divergent self-gluing identity, one row per level."""
     if max_level < 1:
         raise click.UsageError("the level cutoff must be at least 1")
-    config = RunConfig(
-        command="loop-demo", degree=max_level, format=fmt, out=out, seed=seed
-    )
+    config = RunConfig(command="loop-demo", degree=max_level, format=fmt, out=out)
     rows = []
     for k in range(1, max_level + 1):
         demo = loop_axiom_demo(k)

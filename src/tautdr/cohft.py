@@ -29,6 +29,7 @@ from .intersection import (
     forgetful_pullback,
     generators_of_degree,
     PullbackUnavailableError,
+    PRODUCT_DIMENSION_BOUND,
 )
 
 
@@ -108,9 +109,6 @@ def insertion_basis(max_level):
 # ---------------------------------------------------------------------------
 # Comparing tautological classes
 
-_PAIRING_BOUNDARY_DIM = 4
-
-
 def classes_agree(a, b):
     """Exact agreement test: formal equality or pairing-null difference.
 
@@ -126,7 +124,7 @@ def classes_agree(a, b):
     if diff.is_zero():
         return True
     dim = diff.dimension
-    include_boundary = dim <= _PAIRING_BOUNDARY_DIM
+    include_boundary = dim <= PRODUCT_DIMENSION_BOUND
     for degree in range(dim + 1):
         for _, gen in generators_of_degree(
             diff.g, diff.n, degree, include_boundary=include_boundary

@@ -25,14 +25,12 @@ Conventions
 
 Integrals of psi monomials are computed by the string and dilaton
 equations together with the genus-reducing recursion for a largest index,
-seeded by the two one-dimensional moduli; values are memoised and can be
-persisted across runs through the ``TAUTDR_CACHE`` environment variable.
+seeded by the two one-dimensional moduli; values are memoised in-process.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +40,8 @@ from typing import Iterable, Iterator, Sequence
 from .qpoly import QPoly
 from .stable_graphs import (
     StableGraph,
+    _adjacency_matrix,
+    _compositions,
     automorphism_count,
     enumerate_stable_graphs,
     trivial_graph,
@@ -51,7 +51,6 @@ from .stable_graphs import (
 __all__ = [
     "psi_integral",
     "kappa_psi_integral",
-    "save_psi_cache",
     "DecoratedStratum",
     "TautClass",
     "aut_normalization",
@@ -80,43 +79,6 @@ class PullbackUnavailableError(NotImplementedError):
 # ---------------------------------------------------------------------------
 
 _PSI_CACHE: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-_CACHE_LOADED = False
-
-
-def _cache_path() -> str | None:
-    return os.environ.get("TAUTDR_CACHE")
-
-
-def _load_psi_cache() -> None:
-    global _CACHE_LOADED
-    if _CACHE_LOADED:
-        return
-    _CACHE_LOADED = True
-    path = _cache_path()
-    if not path or not os.path.exists(path):
-        return
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key_text, value_text = line.split("\t")
-            g_text, ds_text = key_text.split(";")
-            ds = tuple(int(x) for x in ds_text.split(",")) if ds_text else ()
-            _PSI_CACHE[(int(g_text), ds)] = Fraction(value_text)
-
-
-def save_psi_cache() -> None:
-    """Persist memoised psi integrals to the TAUTDR_CACHE file, if set."""
-    path = _cache_path()
-    if not path:
-        return
-    _load_psi_cache()
-    lines = []
-    for (g, ds), value in sorted(_PSI_CACHE.items()):
-        lines.append(f"{g};{','.join(str(d) for d in ds)}\t{value}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
 def _double_factorial(m: int) -> int:
@@ -151,7 +113,6 @@ def _psi(g: int, ds: tuple[int, ...]) -> Fraction:
         return Fraction(0)
     if sum(ds) != 3 * g - 3 + n:
         return Fraction(0)
-    _load_psi_cache()
     key = (g, ds)
     cached = _PSI_CACHE.get(key)
     if cached is not None:
@@ -790,8 +751,8 @@ def _graph_isomorphisms(
         len(groups_src[k]) != len(groups_dst[k]) for k in groups_src
     ):
         return []
-    src_adj = _adjacency(source)
-    dst_adj = _adjacency(target)
+    src_adj = _adjacency_matrix(source)
+    dst_adj = _adjacency_matrix(target)
     keys = sorted(groups_src)
     out = []
     for perms in itertools.product(
@@ -818,18 +779,6 @@ def _graph_isomorphisms(
         if ok:
             out.append(iso)
     return out
-
-
-def _adjacency(graph: StableGraph) -> list[list[int]]:
-    k = graph.n_vertices
-    mat = [[0] * k for _ in range(k)]
-    for u, v in graph.edges:
-        if u == v:
-            mat[u][u] += 1
-        else:
-            mat[u][v] += 1
-            mat[v][u] += 1
-    return mat
 
 
 @lru_cache(maxsize=None)
@@ -1096,19 +1045,9 @@ def _trivial_decorations(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     for psi_total in range(degree + 1):
         kappa_total = degree - psi_total
-        for leg_psi in _compositions_fixed(psi_total, n):
+        for leg_psi in _compositions(psi_total, n):
             for kappas in _partitions(kappa_total):
                 yield leg_psi, kappas
-
-
-def _compositions_fixed(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions_fixed(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -1128,13 +1067,13 @@ def _decorated_strata(graph: StableGraph, extra: int) -> Iterator[DecoratedStrat
     e = graph.n_edges
     k = graph.n_vertices
     slots = n + 2 * e
-    for split in _compositions_fixed(extra, slots + 1):
+    for split in _compositions(extra, slots + 1):
         deco, kappa_total = split[:slots], split[slots]
         leg_psi = deco[:n]
         edge_psi = tuple(
             (deco[n + 2 * j], deco[n + 2 * j + 1]) for j in range(e)
         )
-        for kappa_split in _compositions_fixed(kappa_total, k):
+        for kappa_split in _compositions(kappa_total, k):
             for kappa_parts in itertools.product(
                 *[_partitions(t) for t in kappa_split]
             ):

@@ -38,10 +38,11 @@ from .intersection import (
     PRODUCT_DIMENSION_BOUND,
     DecoratedStratum,
     TautClass,
+    _all_graphs,
     generators_of_degree,
 )
 from .qpoly import QPoly, newton_interpolate
-from .stable_graphs import StableGraph, enumerate_stable_graphs
+from .stable_graphs import StableGraph, _compositions
 from .weightsums import weighting_power_sums
 
 __all__ = [
@@ -79,22 +80,6 @@ def admissible_r_bound(A: Sequence[int], d: int) -> int:
     """Moduli r strictly above this bound are admissible for degree d."""
     max_abs = max((abs(a) for a in A), default=0)
     return d * max(1, max_abs) + sum(abs(a) for a in A) + 2
-
-
-@lru_cache(maxsize=None)
-def _graphs_for(g: int, n: int) -> tuple[StableGraph, ...]:
-    return tuple(enumerate_stable_graphs(g, n))
-
-
-def _compositions_positive(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Tuples of ``parts`` integers >= 1 summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions_positive(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _leg_exponent_vectors(
@@ -137,7 +122,7 @@ class _Template:
 @lru_cache(maxsize=None)
 def _build_template(g: int, A: tuple[int, ...], d: int) -> _Template:
     n = len(A)
-    graphs = _graphs_for(g, n)
+    graphs = _all_graphs(g, n)
     blocks: dict[tuple[int, tuple[int, ...]], list[tuple[DecoratedStratum, Fraction]]] = {}
     for gi, graph in enumerate(graphs):
         n_edges = graph.n_edges
@@ -148,16 +133,9 @@ def _build_template(g: int, A: tuple[int, ...], d: int) -> _Template:
             for i, k in enumerate(leg_vec):
                 if k:
                     leg_coeff *= Fraction(A[i] ** (2 * k), 2**k * factorial(k))
-            edge_budget = d - sum(leg_vec)
-            if n_edges == 0:
-                if edge_budget != 0:
-                    continue
-                profiles: Iterator[tuple[int, ...]] = iter([()])
-            else:
-                if edge_budget < n_edges:
-                    continue
-                profiles = _compositions_positive(edge_budget, n_edges)
-            for profile in profiles:
+            # positive edge exponents summing to the rest of the degree
+            for shifted in _compositions(d - sum(leg_vec) - n_edges, n_edges):
+                profile = tuple(j + 1 for j in shifted)
                 edge_coeff = Fraction(1)
                 for j in profile:
                     sign = 1 if (j + 1) % 2 == 0 else -1

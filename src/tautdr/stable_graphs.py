@@ -35,7 +35,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from math import factorial
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "StableGraph",
@@ -262,22 +263,10 @@ class StableGraph:
         ``swapped`` true when the stored endpoint order was reversed.
         """
         k = self.n_vertices
-        parent = list(range(k))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for idx in contracted:
-            u, v = self.edges[idx]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        roots = sorted({find(v) for v in range(k)})
+        root_of = _union_roots(k, [self.edges[idx] for idx in contracted])
+        roots = sorted(set(root_of))
         new_index = {r: i for i, r in enumerate(roots)}
-        vertex_map = [new_index[find(v)] for v in range(k)]
+        vertex_map = [new_index[root] for root in root_of]
 
         class_sizes = [0] * len(roots)
         genera = [0] * len(roots)
@@ -410,18 +399,28 @@ def enumerate_stable_graphs(
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
+    """All tuples of ``parts`` nonnegative integers summing to ``total``, in
+    lexicographic order; none when ``total`` is negative.
+
+    Compositions into positive parts are these, for ``total - parts``,
+    with every part raised by one.
+    """
+    if total < 0:
+        return
+    if parts <= 1:
+        if parts == 1:
+            yield (total,)
+        elif total == 0:
+            yield ()
         return
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
-def _connects(k: int, edges: Sequence[tuple[int, int]]) -> bool:
-    if k == 1:
-        return True
+def _union_roots(k: int, links: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find over 0..k-1: the root of each element after linking every
+    pair (u, v) by ``parent[find(u)] = find(v)``."""
     parent = list(range(k))
 
     def find(a: int) -> int:
@@ -430,9 +429,13 @@ def _connects(k: int, edges: Sequence[tuple[int, int]]) -> bool:
             a = parent[a]
         return a
 
-    for u, v in edges:
+    for u, v in links:
         parent[find(u)] = find(v)
-    return len({find(v) for v in range(k)}) == 1
+    return [find(a) for a in range(k)]
+
+
+def _connects(k: int, edges: Sequence[tuple[int, int]]) -> bool:
+    return k == 1 or len(set(_union_roots(k, edges))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -491,17 +494,10 @@ def automorphism_count(graph: StableGraph) -> int:
         for v in range(u, k):
             m = adjacency[u][v]
             if u == v:
-                total *= _factorial(m) * 2**m
+                total *= factorial(m) * 2**m
             else:
-                total *= _factorial(m)
+                total *= factorial(m)
     return total
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 def _adjacency_matrix(graph: StableGraph) -> list[list[int]]:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .qpoly import BiPoly, QPoly
-from .stable_graphs import StableGraph, edge_weight_forms
+from .stable_graphs import StableGraph, _union_roots, edge_weight_forms
 
 __all__ = ["UnsupportedWeightingSum", "weighting_power_sums"]
 
@@ -58,24 +58,17 @@ def weighting_power_sums(
 
     # Group free variables into components linked by shared edges.
     var_index = {f: i for i, f in enumerate(free_edges)}
-    parent = list(range(len(free_edges)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    links = []
     for const, coeffs in forms:
         involved = [var_index[f] for f in coeffs]
-        for other in involved[1:]:
-            parent[find(involved[0])] = find(other)
-    comp_of_var = {free_edges[i]: find(i) for i in range(len(free_edges))}
+        links += [(involved[0], other) for other in involved[1:]]
+    root_of = _union_roots(len(free_edges), links)
+    comp_of_var = {free_edges[i]: root_of[i] for i in range(len(free_edges))}
     comp_edges: dict[int, list[int]] = {}
     const_edges: list[int] = []
     for e, (const, coeffs) in enumerate(forms):
         if coeffs:
-            comp = find(var_index[next(iter(coeffs))])
+            comp = root_of[var_index[next(iter(coeffs))]]
             comp_edges.setdefault(comp, []).append(e)
         else:
             const_edges.append(e)

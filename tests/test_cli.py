@@ -1,12 +1,14 @@
-"""Command-line behavior: formats, exit codes, determinism, cache control."""
+"""Command-line behavior: formats, exit codes, determinism."""
 
 import json
-import os
 
 import pytest
 from click.testing import CliRunner
 
 from tautdr import cli
+from tautdr.intersection import ProductCapabilityError, PullbackUnavailableError
+from tautdr.pixton import HeldOutMismatchError, PolynomialityError
+from tautdr.weightsums import UnsupportedWeightingSum
 
 
 @pytest.fixture()
@@ -144,6 +146,31 @@ def test_dr_exit_one_on_failing_verdict(runner, monkeypatch):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (UnsupportedWeightingSum, 3),
+        (ProductCapabilityError, 3),
+        (PullbackUnavailableError, 3),
+        (HeldOutMismatchError, 4),
+        (PolynomialityError, 4),
+    ],
+)
+def test_dr_failure_exit_codes(runner, monkeypatch, error, code):
+    # capability limits and internal-consistency failures each get their own
+    # exit code and one stderr line instead of a traceback
+    def raising(*args, **kwargs):
+        raise error("the reason")
+
+    monkeypatch.setattr(cli, "r_polynomial", raising)
+    result = runner.invoke(
+        cli.main, ["dr", "--genus", "1", "--a", "0", "--degree", "1"]
+    )
+    assert result.exit_code == code
+    assert result.stdout == ""
+    assert result.stderr == f"error: {error.__name__}: the reason\n"
+
+
 def test_dr_csv_format(runner):
     result = runner.invoke(
         cli.main,
@@ -186,7 +213,7 @@ def test_loop_demo_json(runner):
 
 
 # ---------------------------------------------------------------------------
-# Determinism, output files, cache
+# Determinism, output files
 
 
 def test_identical_runs_are_byte_identical(runner, tmp_path):
@@ -211,16 +238,5 @@ def test_config_echo_excludes_destination(runner, tmp_path):
     assert runner.invoke(cli.main, args).exit_code == 0
     payload = json.loads(out.read_text())
     assert "out" not in payload["config"]
+    assert "seed" not in payload["config"]
 
-
-def test_cache_file_round_trip(runner, tmp_path, monkeypatch):
-    cache = tmp_path / "cache.tsv"
-    monkeypatch.setenv("TAUTDR_CACHE", str(cache))
-    args = ["dr", "--genus", "1", "--a", "0", "--degree", "1"]
-    assert runner.invoke(cli.main, args).exit_code == 0
-    assert cache.exists()
-    lines = cache.read_text().strip().splitlines()
-    assert lines
-    for line in lines:
-        key, value = line.split("\t")
-        assert key and value

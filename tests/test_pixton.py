@@ -1,6 +1,8 @@
 """Weighted-graph classes, their polynomial dependence on the modulus,
 constant terms, and the vanishing pairing harness."""
 
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from tautdr.pixton import (
     admissible_r_bound,
     constant_term,
 )
+from tautdr import intersection, pixton
 from tautdr.qpoly import QPoly
 
 
@@ -155,3 +158,23 @@ def test_relabeling_symmetry_of_classes():
 def test_errors_are_arithmetic_errors():
     assert issubclass(PolynomialityError, ArithmeticError)
     assert issubclass(HeldOutMismatchError, ArithmeticError)
+
+
+def test_census_is_built_once_per_type(monkeypatch):
+    # the class template and the complementary generators share one census
+    # cache, so each (g, n) census is enumerated a single time
+    builds = Counter()
+    enumerate_graphs = intersection.enumerate_stable_graphs
+
+    def counting(g, n, **kwargs):
+        builds[(g, n)] += 1
+        return enumerate_graphs(g, n, **kwargs)
+
+    # patch every binding of the census function inside the package
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tautdr") and hasattr(module, "enumerate_stable_graphs"):
+            monkeypatch.setattr(module, "enumerate_stable_graphs", counting)
+    intersection._all_graphs.cache_clear()
+    pixton._build_template.cache_clear()
+    assert vanishing_check(1, (1, -1, 0), 2)["verdict"] == "pairing-null"
+    assert builds == {(1, 3): 1}

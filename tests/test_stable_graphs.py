@@ -1,5 +1,6 @@
 """Stable-graph enumeration, canonicalization, automorphisms, weightings."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from tautdr import (
     enumerate_weightings,
     trivial_graph,
 )
+from tautdr.stable_graphs import _compositions
 from tautdr.weightsums import weighting_power_sums
 
 from oracles import (
@@ -175,3 +177,21 @@ def test_weighting_sums_are_polynomial_in_r():
         total = weighting_power_sums(gr, (1, -1), r, [profile])[profile]
         assert total == brute_weighting_sum(gr, (1, -1), r, profile)
         assert total % 1 == 0 if isinstance(total, int) else total.denominator == 1
+
+
+
+def test_compositions_match_product_filter():
+    # same tuples in the same (lexicographic) order as a brute-force filter,
+    # and the positive-parts form is the nonnegative one shifted by one
+    for total in range(6):
+        for parts in range(5):
+            brute = [
+                c
+                for c in itertools.product(range(total + 1), repeat=parts)
+                if sum(c) == total
+            ]
+            assert list(_compositions(total, parts)) == brute
+            shifted = [
+                tuple(j + 1 for j in c) for c in _compositions(total - parts, parts)
+            ]
+            assert shifted == [c for c in brute if all(c)]
