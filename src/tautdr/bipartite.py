@@ -38,10 +38,12 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from .stable_graphs import _compositions
+from .stable_graphs import _compositions, _union_roots
 
 __all__ = [
     "RubberVertex",
@@ -252,22 +254,9 @@ class BipartiteGraph:
                 raise ValueError("unstable rigid vertex")
 
     def _is_connected(self):
+        links = [(i0, len(self.side0) + iinf) for i0, iinf, _ in self.edges]
         total = len(self.side0) + len(self.side_inf)
-        if total == 1:
-            return True
-        adj = {k: set() for k in range(total)}
-        for i0, iinf, _ in self.edges:
-            a, b = i0, len(self.side0) + iinf
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == total
+        return len(set(_union_roots(total, links))) == 1
 
     # -- derived data ----------------------------------------------------
 
@@ -309,16 +298,25 @@ class BipartiteGraph:
         edges = tuple(sorted((inv0[i0], invinf[iinf], d) for i0, iinf, d in self.edges))
         return (side0, side_inf, edges)
 
-    def canonical(self):
-        """Isomorph-invariant representative (vertex and edge order gauge)."""
+    def _symmetry(self):
+        """The canonical form and the automorphism count, from one pass over
+        all pairs of vertex relabellings.
+
+        The pairs reaching the least encoding form a coset of the group of
+        vertex permutations preserving vertex data and the edge multiset, so
+        their number is that group's order.  Parallel edges of equal degree
+        may also be permuted freely.
+        """
         best = None
-        best_perms = None
         for perm0 in itertools.permutations(range(len(self.side0))):
             for perminf in itertools.permutations(range(len(self.side_inf))):
                 enc = self._encode(perm0, perminf)
                 if best is None or enc < best:
-                    best = enc
-                    best_perms = (perm0, perminf)
+                    best, best_perms, count = enc, (perm0, perminf), 1
+                elif enc == best:
+                    count += 1
+        for m in Counter(self.edges).values():
+            count *= factorial(m)
         perm0, perminf = best_perms
         inv0 = {old: new for new, old in enumerate(perm0)}
         invinf = {old: new for new, old in enumerate(perminf)}
@@ -341,7 +339,11 @@ class BipartiteGraph:
             for v in (self.side_inf[old] for old in perminf)
         )
         edges = tuple(sorted((inv0[i0], invinf[iinf], d) for i0, iinf, d in self.edges))
-        return BipartiteGraph(side0, side_inf, edges)
+        return BipartiteGraph(side0, side_inf, edges), count
+
+    def canonical(self):
+        """Isomorph-invariant representative (vertex and edge order gauge)."""
+        return self._symmetry()[0]
 
     def automorphism_count(self):
         """Order of the symmetry group fixing every labelled half-edge.
@@ -350,40 +352,7 @@ class BipartiteGraph:
         only permutes label-free vertices; edge symmetries contribute one
         factorial per class of parallel equal-degree edges.
         """
-        keys0 = [v.sort_key() for v in self.side0]
-        keysinf = [v.sort_key() for v in self.side_inf]
-        edge_multi = {}
-        for e in self.edges:
-            edge_multi[e] = edge_multi.get(e, 0) + 1
-
-        def valid_perms(keys, adjacency_of):
-            count = 0
-            for perm in itertools.permutations(range(len(keys))):
-                if any(keys[perm[i]] != keys[i] for i in range(len(keys))):
-                    continue
-                if all(
-                    adjacency_of(perm[i]) == adjacency_of(i) for i in range(len(keys))
-                ):
-                    count += 1
-            return count
-
-        # Vertex symmetries must respect adjacency.  Rubber vertices are
-        # always pinned (each carries a labelled zero root), so only the
-        # rigid side can move; its images must see the same multiset of
-        # (rubber neighbour, degree) pairs.
-        def rigid_adj(j):
-            return tuple(sorted((i0, d) for i0, iinf, d in self.edges if iinf == j))
-
-        def rubber_adj(i):
-            return tuple(sorted((iinf, d) for i0, iinf, d in self.edges if i0 == i))
-
-        vertex_part = valid_perms(keys0, rubber_adj) * valid_perms(keysinf, rigid_adj)
-
-        edge_part = 1
-        for m in edge_multi.values():
-            for k in range(2, m + 1):
-                edge_part *= k
-        return vertex_part * edge_part
+        return self._symmetry()[1]
 
     # -- serialization ----------------------------------------------------
 
@@ -579,9 +548,8 @@ def enumerate_bipartite(gamma, bounds=None):
             return
         if graph.topological_type() != gamma:
             return
-        key = graph.canonical()
-        if key not in found:
-            found[key] = key.automorphism_count()
+        key, aut = graph._symmetry()
+        found.setdefault(key, aut)
 
     for p0 in _subsets(pos):
         p0set = set(p0)

@@ -40,12 +40,12 @@ from typing import Iterable, Iterator, Sequence
 from .qpoly import QPoly
 from .stable_graphs import (
     StableGraph,
-    _adjacency_matrix,
     _compositions,
+    _graph_isomorphisms,
+    _least_relabelling,
     automorphism_count,
     enumerate_stable_graphs,
     trivial_graph,
-    vertex_symmetries,
 )
 
 __all__ = [
@@ -297,39 +297,14 @@ class DecoratedStratum:
 
 @lru_cache(maxsize=None)
 def _canonical_stratum(stratum: DecoratedStratum) -> DecoratedStratum:
-    graph = stratum.graph
-    best_key = None
-    best = None
-    for sigma in graph._relabelling_candidates():
-        genera = [0] * graph.n_vertices
-        kappa = [()] * graph.n_vertices
-        for v in range(graph.n_vertices):
-            genera[sigma[v]] = graph.genera[v]
-            kappa[sigma[v]] = stratum.kappa[v]
-        legs = tuple(sigma[v] for v in graph.legs)
-        records = []
-        for (u, w), (p, q) in zip(graph.edges, stratum.edge_psi):
-            a, b = sigma[u], sigma[w]
-            if a > b:
-                a, b, p, q = b, a, q, p
-            elif a == b and p > q:
-                p, q = q, p
-            records.append((a, b, p, q))
-        records.sort()
-        key = (tuple(genera), legs, tuple(records), tuple(kappa), stratum.leg_psi)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (genera, legs, records, kappa)
-    assert best is not None
-    genera, legs, records, kappa = best
-    new_graph = StableGraph(
-        tuple(genera), legs, tuple((a, b) for a, b, _p, _q in records)
+    genera, legs, records, kappa = _least_relabelling(
+        stratum.graph, stratum.edge_psi, stratum.kappa
     )
     return DecoratedStratum(
-        new_graph,
+        StableGraph(genera, legs, tuple((a, b) for a, b, _p, _q in records)),
         stratum.leg_psi,
         tuple((p, q) for _a, _b, p, q in records),
-        tuple(kappa),
+        kappa,
     )
 
 
@@ -669,10 +644,7 @@ def _contraction_structures(
     out: list[_ContractionStructure] = []
     for combo in itertools.combinations(range(ambient.n_edges), need):
         contracted = frozenset(combo)
-        try:
-            quotient, vmap, surviving = ambient.contract(contracted)
-        except ValueError:
-            continue  # contraction can break stability? (it cannot; be safe)
+        quotient, vmap, surviving = ambient.contract(contracted)
         for iso in _graph_isomorphisms(quotient, factor):
             # Match surviving ambient edges to factor edges at half-edge level.
             groups_src: dict[tuple[int, int], list[int]] = {}
@@ -726,59 +698,6 @@ def _contraction_structures(
                     _ContractionStructure(contracted, edge_map, vertex_map)
                 )
     return tuple(out)
-
-
-def _graph_isomorphisms(
-    source: StableGraph, target: StableGraph
-) -> list[dict[int, int]]:
-    """All vertex bijections source -> target preserving all structure."""
-    if (
-        source.n_vertices != target.n_vertices
-        or sorted(source.genera) != sorted(target.genera)
-        or source.n_edges != target.n_edges
-        or source.n_markings != target.n_markings
-    ):
-        return []
-    src_inv = source._vertex_invariants()
-    dst_inv = target._vertex_invariants()
-    groups_src: dict[tuple, list[int]] = {}
-    groups_dst: dict[tuple, list[int]] = {}
-    for v, key in enumerate(src_inv):
-        groups_src.setdefault(key, []).append(v)
-    for v, key in enumerate(dst_inv):
-        groups_dst.setdefault(key, []).append(v)
-    if set(groups_src) != set(groups_dst) or any(
-        len(groups_src[k]) != len(groups_dst[k]) for k in groups_src
-    ):
-        return []
-    src_adj = _adjacency_matrix(source)
-    dst_adj = _adjacency_matrix(target)
-    keys = sorted(groups_src)
-    out = []
-    for perms in itertools.product(
-        *[itertools.permutations(groups_dst[key]) for key in keys]
-    ):
-        iso: dict[int, int] = {}
-        for key, perm in zip(keys, perms):
-            for src_v, dst_v in zip(groups_src[key], perm):
-                iso[src_v] = dst_v
-        if any(iso[v] != w for v, w in zip(source.legs, target.legs)):
-            continue
-        k = source.n_vertices
-        ok = True
-        for u in range(k):
-            if source.genera[u] != target.genera[iso[u]]:
-                ok = False
-                break
-            for w in range(u, k):
-                if src_adj[u][w] != dst_adj[iso[u]][iso[w]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(iso)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -969,7 +888,7 @@ def _pullback_trivial_term(out: TautClass, stratum: DecoratedStratum, coeff) -> 
 
 def _pullback_plain_stratum(out: TautClass, stratum: DecoratedStratum, coeff) -> None:
     graph = stratum.graph
-    symmetries = vertex_symmetries(graph)
+    symmetries = _graph_isomorphisms(graph, graph)
     orbits: list[int] = []
     seen: set[int] = set()
     for v in range(graph.n_vertices):

@@ -27,7 +27,16 @@ Two graphs are isomorphic iff their canonical forms are equal.  The
 canonical form is the lexicographically smallest encoding over all vertex
 relabellings compatible with a cheap isomorphism invariant; because the
 invariant is preserved by every isomorphism, the representative does not
-depend on the input labelling.
+depend on the input labelling.  ``_least_relabelling`` is the one routine
+computing it, for bare graphs and for graphs carrying psi and kappa
+decorations; ``_graph_isomorphisms`` is the one isomorphism search, and
+automorphisms are isomorphisms of a graph to itself.
+
+Census
+------
+``enumerate_stable_graphs`` generates a census by degeneration from the
+trivial graph, one edge at a time, and keeps one canonical form per
+isomorphism class.
 """
 
 from __future__ import annotations
@@ -44,7 +53,6 @@ __all__ = [
     "trivial_graph",
     "enumerate_stable_graphs",
     "automorphism_count",
-    "vertex_symmetries",
     "enumerate_weightings",
     "edge_weight_forms",
 ]
@@ -90,20 +98,7 @@ class StableGraph:
                 raise ValueError(f"vertex {v} violates stability")
 
     def _is_connected(self) -> bool:
-        k = len(self.genera)
-        seen = {0}
-        frontier = [0]
-        adj: dict[int, set[int]] = {v: set() for v in range(k)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        while frontier:
-            u = frontier.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == k
+        return len(set(_union_roots(len(self.genera), self.edges))) == 1
 
     # -- basic data -----------------------------------------------------
 
@@ -211,23 +206,11 @@ class StableGraph:
                     sigma[v] = off + j
             yield tuple(sigma)
 
-    def relabel_vertices(self, sigma: Sequence[int]) -> "StableGraph":
-        genera = [0] * self.n_vertices
-        for v, g in enumerate(self.genera):
-            genera[sigma[v]] = g
-        legs = tuple(sigma[v] for v in self.legs)
-        edges = tuple((sigma[u], sigma[v]) for u, v in self.edges)
-        return StableGraph(tuple(genera), legs, edges)
-
     def canonical(self) -> "StableGraph":
-        best = None
-        for sigma in self._relabelling_candidates():
-            cand = self.relabel_vertices(sigma)
-            key = (cand.genera, cand.legs, cand.edges)
-            if best is None or key < best[0]:
-                best = (key, cand)
-        assert best is not None
-        return best[1]
+        genera, legs, records, _kappa = _least_relabelling(
+            self, ((0, 0),) * self.n_edges, ((),) * self.n_vertices
+        )
+        return StableGraph(genera, legs, tuple((a, b) for a, b, _p, _q in records))
 
     # -- marking relabelling ------------------------------------------------
 
@@ -345,6 +328,53 @@ def trivial_graph(g: int, n: int) -> StableGraph:
 
 
 # ---------------------------------------------------------------------------
+# Canonical form
+# ---------------------------------------------------------------------------
+
+
+def _least_relabelling(
+    graph: StableGraph,
+    edge_psi: Sequence[tuple[int, int]],
+    kappa: Sequence[tuple[int, ...]],
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], tuple]:
+    """The least key ``(genera, legs, edge records, vertex decorations)`` over
+    the relabelling candidates of ``graph``, whose edge ``k`` carries the
+    exponent pair ``edge_psi[k]`` and whose vertex ``v`` carries ``kappa[v]``.
+
+    An edge record is ``(u, v, p, q)`` with ``u <= v`` after relabelling and
+    ``p``, ``q`` the exponents on the sides at ``u`` and ``v``; the two sides
+    of a loop are put in the order ``p <= q``.  With zero decorations the
+    records sort exactly like the bare edges, so the least key is that of
+    the least ``(genera, legs, edges)`` encoding.
+    """
+    k = graph.n_vertices
+    best = None
+    for sigma in graph._relabelling_candidates():
+        genera = [0] * k
+        decorations: list[tuple[int, ...]] = [()] * k
+        for v in range(k):
+            genera[sigma[v]] = graph.genera[v]
+            decorations[sigma[v]] = kappa[v]
+        records = []
+        for (u, w), (p, q) in zip(graph.edges, edge_psi):
+            a, b = sigma[u], sigma[w]
+            if a > b or (a == b and p > q):
+                a, b, p, q = b, a, q, p
+            records.append((a, b, p, q))
+        records.sort()
+        key = (
+            tuple(genera),
+            tuple(sigma[v] for v in graph.legs),
+            tuple(records),
+            tuple(decorations),
+        )
+        if best is None or key < best:
+            best = key
+    assert best is not None
+    return best
+
+
+# ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
 
@@ -358,6 +388,12 @@ def enumerate_stable_graphs(
     (number of edges, encoding).  The moduli dimension 3g - 3 + n must not
     exceed ``complexity_bound``; larger requests raise
     :class:`ComplexityBoundError` (pass a bigger bound to opt in).
+
+    The census is generated by degeneration from the trivial graph: the
+    graphs with e + 1 edges are the degenerations of those with e edges,
+    with duplicates removed by canonical form (McKay, "Isomorph-free
+    exhaustive generation", 1998).  Contracting any edge of a graph undoes
+    one of its degenerations, so every graph is reached.
     """
     if g < 0 or n < 0:
         raise ValueError("genus and marking count must be nonnegative")
@@ -370,32 +406,49 @@ def enumerate_stable_graphs(
             "pass complexity_bound explicitly to enumerate anyway"
         )
 
-    found: set[StableGraph] = set()
-    max_vertices = 2 * g + n - 2
-    for k in range(1, max_vertices + 1):
-        pair_types = [
-            (u, v) for u in range(k) for v in range(u, k)
-        ]
-        for genus_sum in range(g + 1):
-            h1 = g - genus_sum
-            n_edges = h1 + k - 1
-            if n_edges < 0:
-                continue
-            if n_edges == 0 and k > 1:
-                continue
-            for genera in _compositions(genus_sum, k):
-                for edge_multiset in itertools.combinations_with_replacement(
-                    pair_types, n_edges
-                ):
-                    if not _connects(k, edge_multiset):
-                        continue
-                    for legs in itertools.product(range(k), repeat=n):
-                        try:
-                            graph = StableGraph(genera, legs, edge_multiset)
-                        except ValueError:
-                            continue
-                        found.add(graph.canonical())
+    found: list[StableGraph] = []
+    level = {trivial_graph(g, n)}
+    while level:
+        found.extend(level)
+        level = {
+            child.canonical() for graph in level for child in _degenerations(graph)
+        }
     return sorted(found, key=lambda gr: (gr.n_edges, gr.genera, gr.legs, gr.edges))
+
+
+def _degenerations(graph: StableGraph) -> Iterator[StableGraph]:
+    """Stable graphs with one more edge that contract onto ``graph``.
+
+    A vertex ``v`` either trades one genus for a loop, or splits into ``v``
+    and a new last vertex joined by a new edge, the new vertex taking part
+    of the genus and a subset of the half-edges at ``v``.  Swapping the two
+    halves of a split gives an isomorphic graph, so the first half-edge at
+    ``v`` always stays; isomorphic results are otherwise not merged.
+    """
+    k = graph.n_vertices
+    home = {h: graph.vertex_of_half_edge(h) for h in graph.half_edge_ids()}
+    for v in range(k):
+        g_v = graph.genera[v]
+        if g_v > 0:
+            genera = graph.genera[:v] + (g_v - 1,) + graph.genera[v + 1 :]
+            yield StableGraph(genera, graph.legs, graph.edges + ((v, v),))
+        ends = [h for h, u in home.items() if u == v]
+        rest = ends[1:]
+        for size in range(len(rest) + 1):
+            for moved in itertools.combinations(rest, size):
+                at = {**home, **dict.fromkeys(moved, k)}
+                legs = tuple(at[i] for i in range(1, graph.n_markings + 1))
+                edges = tuple(
+                    (at[a], at[b])
+                    for a, b in map(graph.edge_half_ids, range(graph.n_edges))
+                ) + ((v, k),)
+                for g_new in range(g_v + 1):
+                    g_old = g_v - g_new
+                    # both halves stable, each with one end of the new edge
+                    if 2 * g_old - 1 + len(ends) - size <= 0 or 2 * g_new - 1 + size <= 0:
+                        continue
+                    genera = graph.genera[:v] + (g_old,) + graph.genera[v + 1 :]
+                    yield StableGraph(genera + (g_new,), legs, edges)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -434,44 +487,58 @@ def _union_roots(k: int, links: Iterable[tuple[int, int]]) -> list[int]:
     return [find(a) for a in range(k)]
 
 
-def _connects(k: int, edges: Sequence[tuple[int, int]]) -> bool:
-    return k == 1 or len(set(_union_roots(k, edges))) == 1
-
-
 # ---------------------------------------------------------------------------
 # Automorphisms
 # ---------------------------------------------------------------------------
 
 
-def vertex_symmetries(graph: StableGraph) -> list[dict[int, int]]:
-    """All vertex permutations preserving genera, markings and adjacency.
+def _graph_isomorphisms(
+    source: StableGraph, target: StableGraph
+) -> list[dict[int, int]]:
+    """All vertex bijections source -> target preserving all structure.
 
-    Markings are fixed pointwise, so a vertex carrying legs can only map to
-    itself (two vertices never share a marking); this is automatic because
-    permutations are only taken within groups of equal invariant, and the
-    invariant contains the marking tuple.
+    Only bijections between vertices of equal invariant are tried; every
+    isomorphism preserves the invariant, and because it holds the genus and
+    the markings of a vertex, each bijection tried keeps genera and fixes
+    every marking, so only adjacency is left to check.
     """
-    inv = graph._vertex_invariants()
-    groups: dict[tuple, list[int]] = {}
-    for v, key in enumerate(inv):
-        groups.setdefault(key, []).append(v)
-    blocks = list(groups.values())
-    adjacency = _adjacency_matrix(graph)
-    k = graph.n_vertices
+    if (
+        source.n_vertices != target.n_vertices
+        or sorted(source.genera) != sorted(target.genera)
+        or source.n_edges != target.n_edges
+        or source.n_markings != target.n_markings
+    ):
+        return []
+    src_inv = source._vertex_invariants()
+    dst_inv = target._vertex_invariants()
+    groups_src: dict[tuple, list[int]] = {}
+    groups_dst: dict[tuple, list[int]] = {}
+    for v, key in enumerate(src_inv):
+        groups_src.setdefault(key, []).append(v)
+    for v, key in enumerate(dst_inv):
+        groups_dst.setdefault(key, []).append(v)
+    if set(groups_src) != set(groups_dst) or any(
+        len(groups_src[k]) != len(groups_dst[k]) for k in groups_src
+    ):
+        return []
+    src_adj = _adjacency_matrix(source)
+    dst_adj = _adjacency_matrix(target)
+    k = source.n_vertices
+    keys = sorted(groups_src)
     out = []
     for perms in itertools.product(
-        *[itertools.permutations(block) for block in blocks]
+        *[itertools.permutations(groups_dst[key]) for key in keys]
     ):
-        pi: dict[int, int] = {}
-        for block, perm in zip(blocks, perms):
-            for src, dst in zip(block, perm):
-                pi[src] = dst
+        iso: dict[int, int] = {}
+        for key, perm in zip(keys, perms):
+            for src_v, dst_v in zip(groups_src[key], perm):
+                iso[src_v] = dst_v
         if all(
-            adjacency[pi[u]][pi[v]] == adjacency[u][v]
+            src_adj[u][w] == dst_adj[iso[u]][iso[w]]
             for u in range(k)
-            for v in range(u, k)
+            for w in range(u, k)
         ):
-            out.append(pi)
+            out.append(iso)
     return out
 
 
@@ -488,7 +555,7 @@ def automorphism_count(graph: StableGraph) -> int:
     permuted freely, and each loop's half-edges may be swapped.
     """
     adjacency = _adjacency_matrix(graph)
-    total = len(vertex_symmetries(graph))
+    total = len(_graph_isomorphisms(graph, graph))
     k = graph.n_vertices
     for u in range(k):
         for v in range(u, k):

@@ -4,9 +4,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautdr import (
     ComplexityBoundError,
+    DecoratedStratum,
     StableGraph,
     automorphism_count,
     enumerate_stable_graphs,
@@ -39,6 +42,89 @@ def test_census_matches_brute_force(g, n):
     assert len(graphs) == CENSUS_COUNTS[(g, n)]
     assert len({stable_graph_key(gr) for gr in graphs}) == len(graphs)
     assert {stable_graph_key(gr) for gr in graphs} == brute_stable_graphs(g, n)
+
+
+# Larger censuses, known independently (the brute oracle is too slow here).
+DEGENERATION_CENSUS_COUNTS = {(1, 4): 163, (2, 2): 75, (3, 1): 181, (2, 3): 555}
+
+
+@pytest.mark.parametrize("g,n", sorted(DEGENERATION_CENSUS_COUNTS))
+def test_census_counts(g, n):
+    graphs = enumerate_stable_graphs(g, n)
+    assert len(graphs) == DEGENERATION_CENSUS_COUNTS[(g, n)]
+    assert len(set(graphs)) == len(graphs)
+    for gr in graphs:
+        assert gr == gr.canonical()
+        assert (gr.genus, gr.n_markings) == (g, n)
+
+
+@pytest.mark.parametrize("g,n", [(1, 4), (2, 2)])
+def test_census_is_closed_under_contraction(g, n):
+    census = set(enumerate_stable_graphs(g, n))
+    for gr in census:
+        for e in range(gr.n_edges):
+            assert gr.contract({e})[0].canonical() in census
+
+
+def _relabelled_stratum(stratum, sigma, edge_order, flip_loops):
+    """The same decorated stratum built afresh with vertex v renamed sigma[v],
+    the edges listed in ``edge_order`` before the constructor's sort, and the
+    two sides of every loop swapped when ``flip_loops`` is set."""
+    gr = stratum.graph
+    genera = [0] * gr.n_vertices
+    kappa = [()] * gr.n_vertices
+    for v in range(gr.n_vertices):
+        genera[sigma[v]] = gr.genera[v]
+        kappa[sigma[v]] = stratum.kappa[v]
+    records = []
+    for e in edge_order:
+        (u, w), (p, q) = gr.edges[e], stratum.edge_psi[e]
+        a, b = sigma[u], sigma[w]
+        if a > b or (a == b and flip_loops):
+            a, b, p, q = b, a, q, p
+        records.append((a, b, p, q))
+    records.sort(key=lambda rec: rec[:2])  # stable: keeps parallel edges' order
+    graph = StableGraph(
+        tuple(genera),
+        tuple(sigma[v] for v in gr.legs),
+        tuple((a, b) for a, b, _p, _q in records),
+    )
+    edge_psi = tuple((p, q) for _a, _b, p, q in records)
+    return DecoratedStratum(graph, stratum.leg_psi, edge_psi, tuple(kappa))
+
+
+@pytest.mark.parametrize("g,n", [(1, 3), (2, 1)])
+def test_canonical_form_ignores_vertex_labels(g, n):
+    for gr in enumerate_stable_graphs(g, n):
+        plain = DecoratedStratum(
+            gr, (0,) * n, ((0, 0),) * gr.n_edges, ((),) * gr.n_vertices
+        )
+        for sigma in itertools.permutations(range(gr.n_vertices)):
+            moved = _relabelled_stratum(plain, sigma, range(gr.n_edges), False)
+            assert moved.graph.canonical() == gr
+
+
+SMALL_CENSUS = enumerate_stable_graphs(1, 3) + enumerate_stable_graphs(2, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_decorated_canonical_form_ignores_vertex_labels(data):
+    gr = data.draw(st.sampled_from(SMALL_CENSUS))
+    exponent = st.integers(0, 2)
+    stratum = DecoratedStratum(
+        gr,
+        tuple(data.draw(exponent) for _ in gr.legs),
+        tuple((data.draw(exponent), data.draw(exponent)) for _ in gr.edges),
+        tuple(
+            tuple(data.draw(st.lists(st.integers(1, 2), max_size=2)))
+            for _ in gr.genera
+        ),
+    )
+    sigma = data.draw(st.permutations(range(gr.n_vertices)))
+    edge_order = data.draw(st.permutations(range(gr.n_edges)))
+    moved = _relabelled_stratum(stratum, sigma, edge_order, data.draw(st.booleans()))
+    assert moved.canonical() == stratum.canonical()
 
 
 def test_enumeration_is_deterministic_and_canonical():
