@@ -20,12 +20,15 @@ evD per half-edge) are opaque commuting generators with exact rational
 coefficients; no pushforward evaluation is attempted.  Series carry an
 explicit validity threshold: coefficients of t-powers below ``min_valid``
 have been discarded, and every product tracks how far the result remains
-exact.  Extracting the constant term re-runs the assembly at a deeper
+exact.  The assembly expands each factor only as deep as can still reach
+t^0 and drops every exponent that the factors still to come cannot lift to
+t^0.  Extracting the constant term re-runs the assembly at a deeper
 truncation and demands agreement.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,8 +60,8 @@ class SymMonomial:
 
     ``psi_inf`` maps rubber-vertex indices to exponents; ``psibar`` and
     ``evd`` map half-edge keys ("e", edge index) or ("m", label) to
-    exponents.  All maps are stored as sorted tuples with zero exponents
-    dropped, so equal monomials compare equal.
+    exponents.  All maps are stored as sorted tuples with repeated keys
+    summed and zero exponents dropped, so equal monomials compare equal.
     """
 
     psi: int = 0
@@ -68,24 +71,24 @@ class SymMonomial:
 
     @staticmethod
     def make(psi=0, psi_inf=(), psibar=(), evd=()):
-        def norm(pairs):
-            return tuple(sorted((k, p) for k, p in pairs if p))
-
-        return SymMonomial(psi, norm(psi_inf), norm(psibar), norm(evd))
+        return SymMonomial(psi, _merged(psi_inf), _merged(psibar), _merged(evd))
 
     def __mul__(self, other):
-        def merge(a, b):
-            acc = dict(a)
-            for k, p in b:
-                acc[k] = acc.get(k, 0) + p
-            return tuple(sorted((k, p) for k, p in acc.items() if p))
-
         return SymMonomial(
             self.psi + other.psi,
-            merge(self.psi_inf, other.psi_inf),
-            merge(self.psibar, other.psibar),
-            merge(self.evd, other.evd),
+            _merged(self.psi_inf, other.psi_inf),
+            _merged(self.psibar, other.psibar),
+            _merged(self.evd, other.evd),
         )
+
+
+def _merged(*pair_lists):
+    """Sorted (key, exponent) pairs with repeated keys summed, zeros dropped."""
+    acc = {}
+    for pairs in pair_lists:
+        for k, p in pairs:
+            acc[k] = acc.get(k, 0) + p
+    return tuple(sorted((k, p) for k, p in acc.items() if p))
 
 
 _ONE = SymMonomial()
@@ -156,12 +159,6 @@ class SymPoly:
         out.terms = acc
         return out
 
-    def power(self, k):
-        out = SymPoly.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         return isinstance(other, SymPoly) and self.terms == other.terms
 
@@ -216,10 +213,12 @@ class LaurentSeries:
         return self.coeffs.get(exp, SymPoly.zero())
 
     def __mul__(self, other):
-        max_self = self.max_exp()
-        max_other = other.max_exp()
+        # a truncated zero may still be non-zero below its window, so its
+        # threshold bounds its exponents from above
+        max_self = self.max_exp() if self.coeffs else self.min_valid
+        max_other = other.max_exp() if other.coeffs else other.min_valid
         if max_self is None or max_other is None:
-            return LaurentSeries({}, None)
+            return LaurentSeries({}, None)  # an exact zero factor
         if self.min_valid is None and other.min_valid is None:
             min_valid = None
         else:
@@ -253,9 +252,6 @@ class LaurentSeries:
             acc[e] = acc.get(e, SymPoly.zero()) + p
         return LaurentSeries(acc, min_valid)
 
-    def constant_term(self):
-        return self.coefficient(0)
-
     def __repr__(self):
         exps = sorted(self.coeffs, reverse=True)
         return (
@@ -269,10 +265,12 @@ def c_gamma_infty(truncation):
     """The rigid-side factor t/(t+Psi) expanded to order t^(-truncation)."""
     if truncation < 0:
         raise TruncationError("truncation depth must be non-negative")
-    psi = SymPoly.symbol(psi=1)
+    minus_psi = SymPoly.symbol(psi=1).scale(-1)
     coeffs = {}
+    term = SymPoly.one()
     for k in range(truncation + 1):
-        coeffs[-k] = psi.power(k).scale(Fraction(-1) ** k)
+        coeffs[-k] = term
+        term = term * minus_psi
     return LaurentSeries(coeffs, -truncation)
 
 
@@ -328,7 +326,11 @@ def c_gamma0(
     # top numerator power is t^(rho_inf - 1); each denominator factor
     # lowers the maximal exponent by one
     max_exp = rho_inf - 1 - len(denom_keys)
-    if truncation < -max_exp:
+    # the numerator and every inverse denominator factor are expanded
+    # ``depth`` terms below their tops: a deeper term lands below
+    # t^(-truncation) even when it meets the other factors' tops
+    depth = truncation + max_exp
+    if depth < 0:
         raise TruncationError(
             "requested window lies above every term of the series"
         )
@@ -342,35 +344,28 @@ def c_gamma0(
     sigma = _elementary_symmetric([shifted(k, d) for k, d in sigma_keys])
     psi_inf = SymPoly.symbol(psi_inf=((vertex, 1),))
 
-    def c_of(l):
-        total = SymPoly.zero()
-        for j in range(min(l, len(sigma) - 1) + 1):
-            term = psi_inf.power(l - j) * sigma[j]
-            total = total + term.scale(Fraction(-1) ** j)
-        return total
-
-    # numerator: sum over l >= genus of c(l - genus) t^(genus + rho_inf - 1 - l)
-    depth = truncation + max(0, rho_inf - 1) + len(denom_keys) + 2
+    # numerator: sum over l >= genus of c(l - genus) t^(genus + rho_inf - 1 - l),
+    # i.e. c(m) t^(rho_inf - 1 - m); the genus cancels.  The recursion
+    # c(m) = Psi_inf c(m - 1) + (-1)^m sigma_m unrolls the defining sum.
     num_coeffs = {}
-    for l in range(genus, genus + rho_inf + depth + 1):
-        exp = genus + rho_inf - 1 - l
-        num_coeffs[exp] = c_of(l - genus)
-    numerator = LaurentSeries(num_coeffs, genus + rho_inf - 1 - (genus + rho_inf + depth))
+    c = SymPoly.zero()
+    for m in range(depth + 1):
+        c = c * psi_inf
+        if m < len(sigma):
+            c = c + sigma[m].scale((-1) ** m)
+        num_coeffs[rho_inf - 1 - m] = c
+    series = LaurentSeries(num_coeffs, rho_inf - 1 - depth)
 
-    series = numerator
     for key, d in denom_keys:
         # 1 / ((t + evD)/d - psibar) = (d/t) * sum_k ((d*psibar - evD)/t)^k
         base = shifted(key, d)
         inv_coeffs = {}
+        term = SymPoly.scalar(d)
         for k in range(depth + 1):
-            inv_coeffs[-1 - k] = base.power(k).scale(d)
+            inv_coeffs[-1 - k] = term
+            term = term * base
         series = series * LaurentSeries(inv_coeffs, -1 - depth)
-
-    if series.min_valid is not None and series.min_valid > -truncation:
-        raise TruncationError("internal expansion depth was insufficient")
-    return LaurentSeries(
-        {e: p for e, p in series.coeffs.items() if e >= -truncation}, -truncation
-    )
+    return series
 
 
 def rubber_vertex_series(
@@ -441,15 +436,46 @@ def _half_edge_key(key):
     return str(value) if kind == "e" else f"m{value}"
 
 
-def _assemble_at(graph, truncation, sigma_set, denominator_set):
-    product = LaurentSeries.one()
-    if graph.side_inf:
-        product = product * c_gamma_infty(truncation)
-    for i in range(len(graph.side0)):
-        product = product * rubber_vertex_series(
-            graph, i, truncation, sigma_set, denominator_set
+def _factors(graph, sigma_set, denominator_set):
+    """``(top t-exponent, series at a given truncation)`` for each factor of
+    the localization product: the rigid factor t/(t+Psi) if the rigid side
+    is non-empty, then each rubber vertex."""
+    factors = [(0, c_gamma_infty)] if graph.side_inf else []
+    for i, v in enumerate(graph.side0):
+        node_count = sum(1 for i0, _, _ in graph.edges if i0 == i)
+        rho_inf = node_count + len(v.neg_roots)
+        denom = node_count if denominator_set == "node" else rho_inf
+        series_at = functools.partial(
+            rubber_vertex_series,
+            graph,
+            i,
+            sigma_set=sigma_set,
+            denominator_set=denominator_set,
         )
-    return product.constant_term()
+        factors.append((rho_inf - 1 - denom, series_at))
+    return factors
+
+
+def _assemble_at(graph, truncation, sigma_set, denominator_set):
+    """t^0 of the product, each factor expanded only as deep as t^0 needs.
+
+    A factor with top exponent ``top`` reaches t^0 only through its terms
+    down to t^(top - total), ``total`` being the sum of the tops; after each
+    multiplication the exponents that the remaining factors' tops cannot
+    lift to 0 are dropped.  A too shallow ``truncation`` still leaves the
+    product's window above t^0, so :meth:`LaurentSeries.coefficient` raises.
+    """
+    factors = _factors(graph, sigma_set, denominator_set)
+    remaining = sum(top for top, _ in factors)
+    # with a negative total every factor still yields its top term, so
+    # that its own window checks run; t^0 then comes out exactly zero
+    reach = max(remaining, 0)
+    product = LaurentSeries.one()
+    for top, series_at in factors:
+        remaining -= top
+        product = product * series_at(min(truncation, reach - top))
+        product = LaurentSeries(product.coeffs, max(product.min_valid, -remaining))
+    return product.coefficient(0)
 
 
 def assemble_t0(graph, sigma_set="node", denominator_set="node", truncation=None):
@@ -462,13 +488,9 @@ def assemble_t0(graph, sigma_set="node", denominator_set="node", truncation=None
     if not isinstance(graph, BipartiteGraph):
         raise TypeError("assemble_t0 expects a BipartiteGraph")
     if truncation is None:
-        budget = 2
-        for i, v in enumerate(graph.side0):
-            node_count = sum(1 for i0, _, _ in graph.edges if i0 == i)
-            rho_inf = node_count + len(v.neg_roots)
-            denom = node_count if denominator_set == "node" else rho_inf
-            budget += max(0, rho_inf - 1 - denom)
-        truncation = budget
+        truncation = 2 + sum(
+            max(0, top) for top, _ in _factors(graph, sigma_set, denominator_set)
+        )
     first = _assemble_at(graph, truncation, sigma_set, denominator_set)
     second = _assemble_at(graph, truncation + 2, sigma_set, denominator_set)
     if first != second:

@@ -478,3 +478,71 @@ def brute_bipartite_graphs(
                                             rubbers, rigids, edges
                                         )
     return found
+
+
+# ---------------------------------------------------------------------------
+# Constant term of the localization product
+
+
+def brute_t0(graph, sigma_set="node", denominator_set="node"):
+    """t^0 coefficient of a gluing graph's localization product, in sympy.
+
+    With x = 1/t every factor is a rational function of x: the rigid side
+    gives 1/(1 + Psi x), and a rubber vertex gives
+
+        t^(rho_inf - 1) * prod_sigma (1 - s_e x) / (1 - Psi_inf x)
+                        * prod_denominator d_e x / (1 - s_e x),
+
+    with s_e = d_e*psibar_e - evD_e over its infinity-end half-edges ("node"
+    keeps the edges, "infty" adds the marking-type roots with d_e = -w).
+    The product is x^(-a) G(x) with a = sum (rho_inf - 1) and G regular at
+    x = 0, so t^0 is the x^a Taylor coefficient of G, read off sympy's
+    series expansion.  Symbols are named ``Psi``, ``Psi_inf_<vertex>``,
+    ``psibar_<key>`` and ``evD_<key>``, the key being the edge index or
+    ``m<label>``.
+    """
+    import sympy as sp
+
+    x = sp.Symbol("x")
+    product = sp.Integer(1)
+    if graph.side_inf:
+        product /= 1 + sp.Symbol("Psi") * x
+    shift = 0
+    for i, vertex in enumerate(graph.side0):
+        nodes = [(str(idx), d) for idx, (a, _, d) in enumerate(graph.edges) if a == i]
+        marks = [(f"m{label}", -w) for label, w in vertex.neg_roots]
+        shift += len(nodes) + len(marks) - 1
+
+        def s(key, d):
+            return d * sp.Symbol(f"psibar_{key}") - sp.Symbol(f"evD_{key}")
+
+        sigma_edges = nodes if sigma_set == "node" else nodes + marks
+        denominator_edges = nodes if denominator_set == "node" else nodes + marks
+        for key, d in sigma_edges:
+            product *= 1 - s(key, d) * x
+        product /= 1 - sp.Symbol(f"Psi_inf_{i}") * x
+        for key, d in denominator_edges:
+            product *= d * x / (1 - s(key, d) * x)
+    if shift < 0:
+        return sp.Integer(0)
+    expansion = sp.series(product, x, 0, shift + 1).removeO()
+    return sp.expand(expansion).coeff(x, shift)
+
+
+def t0_json_as_sympy(obj):
+    """A multi-rubber ``AssembledT0.to_json_obj`` object as a sympy
+    expression in the symbols of :func:`brute_t0`."""
+    import sympy as sp
+
+    total = sp.Integer(0)
+    for mono in obj["monomials"]:
+        num, den = mono["coeff"].split("/")
+        term = sp.Rational(int(num), int(den)) * sp.Symbol("Psi") ** mono["Psi"]
+        for vertex, p in mono["Psi_inf"].items():
+            term *= sp.Symbol(f"Psi_inf_{vertex}") ** p
+        for key, p in mono["psibar"].items():
+            term *= sp.Symbol(f"psibar_{key}") ** p
+        for key, p in mono["evD"].items():
+            term *= sp.Symbol(f"evD_{key}") ** p
+        total += term
+    return total
