@@ -22,7 +22,6 @@ import click
 
 from .stable_graphs import enumerate_stable_graphs, automorphism_count
 from .intersection import ProductCapabilityError, PullbackUnavailableError
-from .weightsums import UnsupportedWeightingSum
 from .pixton import (
     r_polynomial,
     constant_term,
@@ -218,9 +217,7 @@ def cmd_dr(genus, a_text, degree, r_samples_text, fmt, out):
             }
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    except (
-        UnsupportedWeightingSum, ProductCapabilityError, PullbackUnavailableError
-    ) as exc:
+    except (ProductCapabilityError, PullbackUnavailableError) as exc:
         _fail(exc, 3)
     except (HeldOutMismatchError, PolynomialityError) as exc:
         _fail(exc, 4)
@@ -238,6 +235,8 @@ def cmd_dr(genus, a_text, degree, r_samples_text, fmt, out):
             },
             {"key": "samples", "value": " ".join(map(str, report["samples"]))},
         ]
+        if "skipped" in report:
+            rows.append({"key": "skipped", "value": report["skipped"]})
         rows += [
             {"key": f"pairing:{label}", "value": value}
             for label, value in report.get("pairings", [])
@@ -249,6 +248,8 @@ def cmd_dr(genus, a_text, degree, r_samples_text, fmt, out):
             f"samples: {report['samples']}",
             f"verdict: {verdict}",
         ]
+        if "skipped" in report:
+            lines.append(f"skipped: {report['skipped']}")
         if report["constant_term_integral"] is not None:
             lines.append(f"constant-term integral: {report['constant_term_integral']}")
         for label, value in report.get("pairings", []):

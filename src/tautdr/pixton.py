@@ -12,14 +12,15 @@ of the standard weighted sum over stable graphs and weightings mod r:
 * each graph is weighted by r^(-h1) and the stored-term convention carries
   the 1/#Aut factor.
 
-The weighting sums are evaluated in closed form (no enumeration over the
-r^h1 weightings), so r can be large.  For r greater than an explicit bound
-the coefficients agree with polynomials in r of degree at most 2d;
-:func:`r_polynomial` recovers those polynomials by exact interpolation at
-2d+3 consecutive admissible values and verifies them against three more
-held-out values, raising on any mismatch.  The constant term (value at
-r = 0) of the degree-g polynomial class is the double ramification cycle
-:func:`dr_cycle`.
+The weighting sums do not enumerate the r^h1 weightings: a component of
+k coupled cycle variables costs r^(k-1) one-variable closed forms (see
+:mod:`tautdr.weightsums`), so one free variable costs the same for any r.
+For r greater than an explicit bound the coefficients agree with
+polynomials in r of degree at most 2d; :func:`r_polynomial` recovers
+those polynomials by exact interpolation at 2d+3 consecutive admissible
+values and verifies them against three more held-out values, raising on
+any mismatch.  The constant term (value at r = 0) of the degree-g
+polynomial class is the double ramification cycle :func:`dr_cycle`.
 
 :func:`vanishing_check` pairs the constant term in degree d > g against
 generators of the complementary degree and reports whether all pairings
@@ -302,7 +303,8 @@ def vanishing_check(
       in the complementary degree was available);
     * ``"FAIL"``          -- some pairing is nonzero;
     * ``"incomplete"``    -- all available pairings vanish but boundary
-      generators were out of range for products.
+      generators were out of range for products; the report then carries
+      a ``"skipped"`` entry saying which generators were left out and why.
     """
     _validate_problem(g, A, d)
     A = tuple(int(a) for a in A)
@@ -328,7 +330,7 @@ def vanishing_check(
     else:
         verdict = "pairing-null"
     integral = const.integrate() if d == dim else None
-    return {
+    report = {
         "problem": {"g": g, "A": list(A), "d": d},
         "samples": list(rp.samples),
         "class": rp.taut.to_json_obj(),
@@ -337,3 +339,9 @@ def vanishing_check(
         "pairings": [[label, str(value)] for label, value in pairings],
         "verdict": verdict,
     }
+    if verdict == "incomplete":
+        report["skipped"] = (
+            f"boundary generators of degree {c}: dimension {dim} exceeds "
+            f"PRODUCT_DIMENSION_BOUND = {PRODUCT_DIMENSION_BOUND}"
+        )
+    return report

@@ -7,9 +7,7 @@ rest of the package needs:
 * arithmetic, evaluation and composition of dense polynomials,
 * closed-form power sums (Faulhaber polynomials), so that sums of a
   polynomial over an integer range cost O(deg^2) instead of O(range),
-* Newton interpolation through exact rational points,
-* a thin bivariate layer used when a summand depends on two bounded
-  integer variables whose inner summation bounds are themselves linear.
+* Newton interpolation through exact rational points.
 
 A polynomial is represented by its dense coefficient list ``coeffs`` with
 ``coeffs[k]`` the coefficient of ``x**k``; the zero polynomial has an empty
@@ -28,9 +26,7 @@ Scalar = Union[int, Fraction]
 __all__ = [
     "QPoly",
     "power_sum_poly",
-    "sum_powers",
     "newton_interpolate",
-    "BiPoly",
 ]
 
 
@@ -57,10 +53,6 @@ class QPoly:
     def constant(value: Scalar) -> "QPoly":
         return QPoly([value])
 
-    @staticmethod
-    def x() -> "QPoly":
-        return QPoly([0, 1])
-
     # -- basic protocol ----------------------------------------------
 
     def __bool__(self) -> bool:
@@ -86,12 +78,6 @@ class QPoly:
     def degree(self) -> int:
         """Degree of the polynomial; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def constant_value(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -170,10 +156,6 @@ class QPoly:
             value = value * xf + c
         return value
 
-    def shift(self, a: Scalar) -> "QPoly":
-        """Return p(x + a)."""
-        return self(QPoly([_as_fraction(a), 1]))
-
     def sum_over_range(self, lo: Scalar, hi: Scalar) -> Fraction:
         """Exact value of ``sum(p(x) for x in range(lo, hi + 1))``.
 
@@ -189,8 +171,7 @@ class QPoly:
         for k, c in enumerate(self.coeffs):
             if c:
                 # F_k(hi) - F_k(lo - 1) telescopes for *all* integer bounds,
-                # so evaluate the polynomial rather than sum_powers (which
-                # clamps negative arguments to the empty sum).
+                # negative ones included.
                 f_k = power_sum_poly(k)
                 total += c * (f_k(hi_i) - f_k(lo_i - 1))
         return total
@@ -220,13 +201,6 @@ def power_sum_poly(k: int) -> QPoly:
     return rhs * Fraction(1, k + 1)
 
 
-def sum_powers(k: int, n: int) -> Fraction:
-    """Exact sum_{x=0}^{n} x**k  (0 for n < 0; 0**0 counts as 1)."""
-    if n < 0:
-        return Fraction(0)
-    return power_sum_poly(k)(n)
-
-
 def newton_interpolate(points: list[tuple[Scalar, Scalar]]) -> QPoly:
     """Interpolate the unique polynomial of degree < len(points).
 
@@ -246,113 +220,3 @@ def newton_interpolate(points: list[tuple[Scalar, Scalar]]) -> QPoly:
         poly = poly * QPoly([-xs[j], 1]) + QPoly.constant(coeffs[j])
     return poly
 
-
-class BiPoly:
-    """A polynomial in two variables u, v with QPoly-in-u coefficients.
-
-    Internally a tuple indexed by the power of v; entry j is the QPoly in u
-    multiplying v**j.  Only the operations needed for nested range
-    summation are provided.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[QPoly] = ()):
-        rs = list(rows)
-        while rs and not rs[-1]:
-            rs.pop()
-        self.rows: tuple[QPoly, ...] = tuple(rs)
-
-    @staticmethod
-    def from_linear(const: Scalar, u_coeff: Scalar, v_coeff: Scalar) -> "BiPoly":
-        """The linear polynomial const + u_coeff*u + v_coeff*v."""
-        return BiPoly([QPoly([const, u_coeff]), QPoly([v_coeff])])
-
-    def __bool__(self) -> bool:
-        return bool(self.rows)
-
-    @staticmethod
-    def _coerce(value: "BiPoly | QPoly | Scalar") -> "BiPoly":
-        if isinstance(value, BiPoly):
-            return value
-        if isinstance(value, QPoly):
-            return BiPoly([value])
-        if isinstance(value, (int, Fraction)):
-            return BiPoly([QPoly.constant(value)])
-        return NotImplemented
-
-    def __add__(self, other: "BiPoly | QPoly | Scalar") -> "BiPoly":
-        other = BiPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.rows, other.rows
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, row in enumerate(b):
-            out[j] = out[j] + row
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly([-row for row in self.rows])
-
-    def __sub__(self, other: "BiPoly | QPoly | Scalar") -> "BiPoly":
-        other = BiPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: "BiPoly | QPoly | Scalar") -> "BiPoly":
-        other = BiPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other: "BiPoly | QPoly | Scalar") -> "BiPoly":
-        if isinstance(other, (int, Fraction, QPoly)):
-            return BiPoly([row * other for row in self.rows])
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        if not self.rows or not other.rows:
-            return BiPoly()
-        out = [QPoly() for _ in range(len(self.rows) + len(other.rows) - 1)]
-        for i, ra in enumerate(self.rows):
-            if not ra:
-                continue
-            for j, rb in enumerate(other.rows):
-                if rb:
-                    out[i + j] = out[i + j] + ra * rb
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = BiPoly([QPoly([1])])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def sum_v_over_range(self, lo: QPoly, hi: QPoly) -> QPoly:
-        """Sum over integer v from lo(u) to hi(u) inclusive, as a QPoly in u.
-
-        The bounds are polynomials in u; the caller guarantees that for every
-        integer u in the outer range both bounds are integers with
-        hi(u) >= lo(u) - 1 (an empty inner range, hi = lo - 1, is allowed and
-        contributes 0 because F_k(hi) - F_k(lo - 1) then vanishes
-        identically).
-        """
-        total = QPoly()
-        for k, row in enumerate(self.rows):
-            if not row:
-                continue
-            fk = power_sum_poly(k)
-            total = total + row * (fk(hi) - fk(lo - 1))
-        return total

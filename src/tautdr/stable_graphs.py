@@ -677,9 +677,9 @@ def enumerate_weightings(
     """
     if r < 1:
         raise ValueError("modulus must be positive")
+    forms, free_edges = edge_weight_forms(graph, leg_values)
     if sum(leg_values) % r != 0:
         return []
-    forms, free_edges = edge_weight_forms(graph, leg_values)
     if r ** len(free_edges) > max_count:
         raise ComplexityBoundError(
             f"{r}**{len(free_edges)} weightings exceed the bound {max_count}"

@@ -43,7 +43,7 @@ from tautdr.series import assemble_t0
 from tautdr.stable_graphs import StableGraph, enumerate_stable_graphs
 
 # Wall-clock budget per check, in seconds.
-BUDGETS = {1: 10, 2: 30, 3: 30, 4: 300, 5: 300, 6: 60, 7: 1, 8: 1, 9: 120}
+BUDGETS = {1: 10, 2: 30, 3: 30, 4: 300, 5: 300, 6: 60, 7: 1, 8: 1, 9: 120, 10: 60}
 
 
 class _Check:
@@ -397,3 +397,14 @@ def test_09_bipartite_and_extraction(check):
             base = assemble_t0(gr)
             deep = assemble_t0(gr, truncation=2 * base.truncation + 4)
             assert base.poly == deep.poly
+
+
+def test_10_three_coupled_cycle_variables(check):
+    with check(10, "genus 3, degree 4: three coupled cycle variables"):
+        # the degree-4 template reaches graphs whose three cycle variables
+        # share edges; r_polynomial verifies the held-out moduli and the
+        # degree bound, and the boundary products stop at dimension 4
+        report = vanishing_check(3, (0,), 4)
+        assert len(report["pairings"]) == 7
+        assert all(value == "0" for _label, value in report["pairings"])
+        assert report["verdict"] == "incomplete"

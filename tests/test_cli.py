@@ -8,7 +8,6 @@ from click.testing import CliRunner
 from tautdr import cli
 from tautdr.intersection import ProductCapabilityError, PullbackUnavailableError
 from tautdr.pixton import HeldOutMismatchError, PolynomialityError
-from tautdr.weightsums import UnsupportedWeightingSum
 
 
 @pytest.fixture()
@@ -127,6 +126,25 @@ def test_dr_accepts_explicit_samples(runner):
     assert payload["verdict"] == "pairing-null"
 
 
+def test_dr_names_what_an_incomplete_verdict_skipped(runner):
+    reason = (
+        "boundary generators of degree 2: dimension 5 exceeds "
+        "PRODUCT_DIMENSION_BOUND = 4"
+    )
+    for fmt, verdict, skipped in [
+        ("text", "verdict: incomplete", f"skipped: {reason}"),
+        ("csv", "verdict,incomplete", f"skipped,{reason}"),
+    ]:
+        result = runner.invoke(
+            cli.main,
+            ["dr", "--genus", "2", "--a", "1,-1", "--degree", "3", "--format", fmt],
+        )
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert verdict in lines
+        assert [line for line in lines if line.startswith("skipped")] == [skipped]
+
+
 def test_dr_exit_one_on_failing_verdict(runner, monkeypatch):
     def fake_check(g, A, d, samples=None):
         return {
@@ -149,7 +167,6 @@ def test_dr_exit_one_on_failing_verdict(runner, monkeypatch):
 @pytest.mark.parametrize(
     "error, code",
     [
-        (UnsupportedWeightingSum, 3),
         (ProductCapabilityError, 3),
         (PullbackUnavailableError, 3),
         (HeldOutMismatchError, 4),

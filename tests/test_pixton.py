@@ -24,6 +24,7 @@ from tautdr.pixton import (
     constant_term,
 )
 from tautdr import intersection, pixton
+from tautdr.intersection import PRODUCT_DIMENSION_BOUND
 from tautdr.qpoly import QPoly
 
 
@@ -138,6 +139,7 @@ def test_vanishing_check_passes_beyond_genus():
     report2 = vanishing_check(1, (0,), 2)
     assert report2["verdict"] == "pairing-null"
     assert report2["constant_term_integral"] is None
+    assert "skipped" not in report and "skipped" not in report2
 
 
 def test_vanishing_check_detects_nonzero():
@@ -146,6 +148,19 @@ def test_vanishing_check_detects_nonzero():
     assert report["verdict"] == "FAIL"
     assert any(value != "0" for _, value in report["pairings"])
     assert report["constant_term_integral"] == "-1/24"
+    assert "skipped" not in report
+
+
+def test_incomplete_verdict_names_what_was_skipped():
+    # dim M_{2,2} = 5 exceeds the product bound, so the degree-2 boundary
+    # generators are left out of the pairing
+    report = vanishing_check(2, (1, -1), 3)
+    assert report["verdict"] == "incomplete"
+    assert all(value == "0" for _, value in report["pairings"])
+    assert report["skipped"] == (
+        "boundary generators of degree 2: dimension 5 exceeds "
+        f"PRODUCT_DIMENSION_BOUND = {PRODUCT_DIMENSION_BOUND}"
+    )
 
 
 def test_relabeling_symmetry_of_classes():
