@@ -15,12 +15,19 @@ of the standard weighted sum over stable graphs and weightings mod r:
 The weighting sums do not enumerate the r^h1 weightings: a component of
 k coupled cycle variables costs r^(k-1) one-variable closed forms (see
 :mod:`tautdr.weightsums`), so one free variable costs the same for any r.
-For r greater than an explicit bound the coefficients agree with
-polynomials in r of degree at most 2d; :func:`r_polynomial` recovers
-those polynomials by exact interpolation at 2d+3 consecutive admissible
-values and verifies them against three more held-out values, raising on
-any mismatch.  The constant term (value at r = 0) of the degree-g
-polynomial class is the double ramification cycle :func:`dr_cycle`.
+The class is a sum over weighting blocks, one per graph and edge
+exponent profile: the block's scalar factor r^(-h1) T(profile) times a
+fixed list of strata with rational structural coefficients.  For r
+greater than an explicit bound every block factor agrees with a
+polynomial in r of degree at most 2d (JPPZ, arXiv:1602.04705).
+:func:`r_polynomial` interpolates each block factor exactly at 2d+3
+consecutive admissible values, checks the degree bound and the factor
+computed directly at three more held-out values, raising on any failure,
+and then builds the class once with polynomial coefficients.  The class
+is linear in the block factors, so these per-block checks imply the same
+checks for every stratum coefficient.  The constant term (value at
+r = 0) of the degree-g polynomial class is the double ramification cycle
+:func:`dr_cycle`.
 
 :func:`vanishing_check` pairs the constant term in degree d > g against
 generators of the complementary degree and reports whether all pairings
@@ -60,11 +67,12 @@ __all__ = [
 
 
 class PolynomialityError(ArithmeticError):
-    """Raised when interpolated coefficients exceed the expected degree."""
+    """Raised when an interpolated block factor exceeds the expected degree."""
 
 
 class HeldOutMismatchError(ArithmeticError):
-    """Raised when the interpolated class disagrees with a held-out sample."""
+    """Raised when an interpolated block factor disagrees with the factor
+    computed directly at a held-out modulus."""
 
 
 def _validate_problem(g: int, A: Sequence[int], d: int) -> None:
@@ -183,23 +191,37 @@ def pixton_class(g: int, A: Sequence[int], d: int, r: int) -> TautClass:
     return _evaluate_template(_build_template(g, A, d), r)
 
 
-def _evaluate_template(template: _Template, r: int) -> TautClass:
-    n = len(template.A)
-    out = TautClass(template.g, n)
+def _block_factors(
+    template: _Template, moduli: Sequence[int]
+) -> dict[tuple[int, tuple[int, ...]], tuple[Fraction, ...]]:
+    """The factor r^(-h1) T(profile) of every block at each modulus.
+
+    The weighting sums of one graph are taken in one call for all moduli,
+    so the r-independent edge forms are computed once per graph.
+    """
     by_graph: dict[int, list[tuple[int, ...]]] = {}
     for gi, profile in template.blocks:
         by_graph.setdefault(gi, []).append(profile)
+    factors: dict[tuple[int, tuple[int, ...]], tuple[Fraction, ...]] = {}
     for gi, profiles in by_graph.items():
         graph = template.graphs[gi]
-        sums = weighting_power_sums(graph, template.A, r, profiles)
-        h1 = graph.h1
-        scale = Fraction(1, r**h1)
+        sums = weighting_power_sums(graph, template.A, moduli, profiles)
+        weighting_counts = [r**graph.h1 for r in moduli]
         for profile in profiles:
-            factor = sums[profile] * scale
-            if factor == 0:
-                continue
-            for stratum, coeff in template.blocks[(gi, profile)]:
-                out._accumulate(stratum, coeff * factor)
+            factors[(gi, profile)] = tuple(
+                Fraction(total, count)
+                for total, count in zip(sums[profile], weighting_counts)
+            )
+    return factors
+
+
+def _evaluate_template(template: _Template, r: int) -> TautClass:
+    out = TautClass(template.g, len(template.A))
+    for block, (factor,) in _block_factors(template, [r]).items():
+        if factor == 0:
+            continue
+        for stratum, coeff in template.blocks[block]:
+            out._accumulate(stratum, coeff * factor)
     return out
 
 
@@ -220,10 +242,13 @@ def r_polynomial(
 ) -> RPolynomialClass:
     """Interpolate the class coefficients as exact polynomials in r.
 
-    Samples the class at 2d+3 consecutive admissible moduli (the expected
-    degree in r is at most 2d), interpolates every stratum coefficient,
-    and verifies the result against three further held-out moduli.  A
-    degree overflow raises :class:`PolynomialityError`; a held-out
+    Computes the factor r^(-h1) T(profile) of every weighting block at
+    2d+3 consecutive admissible moduli and at three further held-out
+    moduli.  Each block factor is interpolated at the samples (blocks with
+    equal values share one interpolant), must have degree at most 2d in r
+    and must match the directly computed factor at every held-out modulus.
+    The class is then summed once, block factor times the block's strata.
+    A degree overflow raises :class:`PolynomialityError`; a held-out
     disagreement raises :class:`HeldOutMismatchError`.
 
     An explicit ``samples`` list (at least 2d+3 distinct admissible moduli)
@@ -249,33 +274,29 @@ def r_polynomial(
             )
         held_out = [samples[-1] + 1 + i for i in range(3)]
     template = _build_template(g, A, d)
-    sampled = {r: _evaluate_template(template, r) for r in samples}
-    strata: set[DecoratedStratum] = set()
-    for cls in sampled.values():
-        strata.update(cls.terms)
-    poly_terms: dict[DecoratedStratum, QPoly] = {}
-    for stratum in strata:
-        points = [
-            (r, sampled[r].terms.get(stratum, Fraction(0))) for r in samples
-        ]
-        poly = newton_interpolate(points)
-        if poly.degree > 2 * d:
-            raise PolynomialityError(
-                f"coefficient degree {poly.degree} exceeds the bound {2 * d}"
-            )
-        if poly:
-            poly_terms[stratum] = poly
+    factors = _block_factors(template, samples + held_out)
+    # Blocks with equal values share one interpolant and one check.
+    interpolants: dict[tuple[Fraction, ...], QPoly] = {}
     taut = TautClass(g, len(A))
-    for stratum, poly in poly_terms.items():
-        taut.terms[stratum] = poly
-    result = RPolynomialClass(taut, samples, held_out)
-    for r in held_out:
-        direct = _evaluate_template(template, r)
-        if result.at(r) != direct:
-            raise HeldOutMismatchError(
-                f"interpolated class disagrees with the direct build at r={r}"
-            )
-    return result
+    for block, values in factors.items():
+        poly = interpolants.get(values)
+        if poly is None:
+            poly = newton_interpolate(list(zip(samples, values)))
+            if poly.degree > 2 * d:
+                raise PolynomialityError(
+                    f"block factor degree {poly.degree} exceeds the bound {2 * d}"
+                )
+            for r, value in zip(held_out, values[len(samples):]):
+                if poly(r) != value:
+                    raise HeldOutMismatchError(
+                        f"interpolated block factor disagrees with the direct "
+                        f"weighting sum at r={r}"
+                    )
+            interpolants[values] = poly
+        if poly:
+            for stratum, coeff in template.blocks[block]:
+                taut._accumulate(stratum, poly * coeff)
+    return RPolynomialClass(taut, samples, held_out)
 
 
 def constant_term(cls: "RPolynomialClass | TautClass") -> TautClass:

@@ -4,7 +4,7 @@ Coefficients are `fractions.Fraction` throughout; no floating point is used
 anywhere.  The module provides the small amount of polynomial machinery the
 rest of the package needs:
 
-* arithmetic, evaluation and composition of dense polynomials,
+* arithmetic and evaluation of dense polynomials,
 * closed-form power sums (Faulhaber polynomials), so that sums of a
   polynomial over an integer range cost O(deg^2) instead of O(range),
 * Newton interpolation through exact rational points.
@@ -142,14 +142,9 @@ class QPoly:
             n >>= 1
         return result
 
-    # -- evaluation / composition ---------------------------------------
+    # -- evaluation ------------------------------------------------------
 
-    def __call__(self, x: "Scalar | QPoly") -> "Fraction | QPoly":
-        if isinstance(x, QPoly):
-            acc: QPoly = QPoly()
-            for c in reversed(self.coeffs):
-                acc = acc * x + QPoly.constant(c)
-            return acc
+    def __call__(self, x: Scalar) -> Fraction:
         value = Fraction(0)
         xf = _as_fraction(x)
         for c in reversed(self.coeffs):

@@ -9,7 +9,7 @@ computes, for a family of exponent profiles j, the exact sums
     T(j) = sum over all weightings of prod_e [ y_e * (r - y_e) ]**j_e
 
 where ``y_e`` in [0, r) is the residue of one side of edge ``e`` (the
-product y(r-y) is the same from either side).
+product y(r-y) is the same from either side).  T(j) is an integer.
 
 Free variables are grouped into components by the edges they influence,
 and each component is summed by one routine, whatever its size k: the
@@ -35,23 +35,24 @@ __all__ = ["weighting_power_sums"]
 def weighting_power_sums(
     graph: StableGraph,
     leg_values: Sequence[int],
-    r: int,
+    moduli: Sequence[int],
     profiles: Sequence[tuple[int, ...]],
-) -> dict[tuple[int, ...], Fraction]:
-    """Exact T(j) for each exponent profile j (one exponent per edge).
+) -> dict[tuple[int, ...], list[int]]:
+    """Exact T(j) at each modulus r for each exponent profile j.
 
-    Profiles must have one entry per edge of the graph and ``leg_values``
-    one entry per marking.  If the leg values do not sum to 0 mod r there
-    are no weightings and every sum is 0.
+    Returns, for each profile (one exponent per edge), the list of sums in
+    the order of ``moduli``.  ``leg_values`` needs one entry per marking.
+    At a modulus r that does not divide the sum of the leg values there
+    are no weightings and every sum is 0.  The edge forms and the grouping
+    of free variables into components do not depend on r, so they are
+    computed once for all moduli.
     """
-    if r < 1:
-        raise ValueError("modulus must be positive")
+    if any(r < 1 for r in moduli):
+        raise ValueError("moduli must be positive")
     for profile in profiles:
         if len(profile) != graph.n_edges:
             raise ValueError("profile length must match the edge count")
     forms, free_edges = edge_weight_forms(graph, leg_values)
-    if sum(leg_values) % r != 0:
-        return {tuple(p): Fraction(0) for p in profiles}
 
     # Group free variables into components linked by shared edges.
     var_index = {f: i for i, f in enumerate(free_edges)}
@@ -71,30 +72,34 @@ def weighting_power_sums(
         else:
             const_edges.append(e)
 
-    results: dict[tuple[int, ...], Fraction] = {}
-    component_cache: dict[tuple, Fraction] = {}
-    for profile in profiles:
-        profile = tuple(profile)
-        total = Fraction(1)
-        for e in const_edges:
-            if profile[e]:
-                y = forms[e][0] % r
-                total *= Fraction(y * (r - y)) ** profile[e]
-            if total == 0:
-                break
-        if total != 0:
-            for comp, edges in comp_edges.items():
-                key = (comp, tuple(profile[e] for e in edges))
-                if key not in component_cache:
-                    component_cache[key] = _component_sum(
-                        [(forms[e][0], forms[e][1], profile[e]) for e in edges],
-                        comp_vars[comp],
-                        r,
-                    )
-                total *= component_cache[key]
+    results: dict[tuple[int, ...], list[int]] = {tuple(p): [] for p in profiles}
+    for r in moduli:
+        if sum(leg_values) % r != 0:
+            for sums in results.values():
+                sums.append(0)
+            continue
+        component_cache: dict[tuple, int] = {}
+        for profile, sums in results.items():
+            total = 1
+            for e in const_edges:
+                if profile[e]:
+                    y = forms[e][0] % r
+                    total *= (y * (r - y)) ** profile[e]
                 if total == 0:
                     break
-        results[profile] = total
+            if total != 0:
+                for comp, edges in comp_edges.items():
+                    key = (comp, tuple(profile[e] for e in edges))
+                    if key not in component_cache:
+                        component_cache[key] = _component_sum(
+                            [(forms[e][0], forms[e][1], profile[e]) for e in edges],
+                            comp_vars[comp],
+                            r,
+                        )
+                    total *= component_cache[key]
+                    if total == 0:
+                        break
+            sums.append(total)
     return results
 
 
@@ -102,7 +107,7 @@ def _component_sum(
     edges: list[tuple[int, dict[int, int], int]],
     variables: list[int],
     r: int,
-) -> Fraction:
+) -> int:
     """Sum over all residues of ``variables`` of prod (y_e (r - y_e))**j_e.
 
     ``edges`` holds (const, {variable: coefficient}, j) with
@@ -111,17 +116,17 @@ def _component_sum(
     variable give a constant factor and the rest a one-variable sum.
     """
     *outer, last = variables
-    total = Fraction(0)
+    total = 0
     for values in itertools.product(range(r), repeat=len(outer)):
         fixed = dict(zip(outer, values))
-        factor = Fraction(1)
+        factor = 1
         one_d = []
         for const, coeffs, j in edges:
             c = const + sum(m * fixed[f] for f, m in coeffs.items() if f != last)
             eps = coeffs.get(last, 0)
             if eps == 0:
                 y = c % r
-                factor *= Fraction(y * (r - y)) ** j
+                factor *= (y * (r - y)) ** j
             else:
                 # y = (eps*x + c) mod r; using the evenness of y(r-y) under
                 # y -> -y, an eps of -1 is the same as +1 with negated c.
@@ -131,12 +136,13 @@ def _component_sum(
     return total
 
 
-def _sum_one_variable(edges: list[tuple[int, int]], r: int) -> Fraction:
+def _sum_one_variable(edges: list[tuple[int, int]], r: int) -> int:
     """Sum over x in [0, r) of prod (y_e (r - y_e))**j_e, y_e = (x - b_e) mod r.
 
     ``edges`` holds pairs (b_e, j_e) with b_e in [0, r).  The residue is
     x - b_e for x >= b_e and x - b_e + r below, so the summand is a single
-    polynomial on each stretch between consecutive zero points.
+    polynomial on each stretch between consecutive zero points.  Each
+    summand is an integer, so the exact rational total is one too.
     """
     points = sorted({b for b, _j in edges})
     total = Fraction(0)
@@ -150,4 +156,4 @@ def _sum_one_variable(edges: list[tuple[int, int]], r: int) -> Fraction:
             y = QPoly([-(b if b <= lo else b - r), 1])
             poly = poly * (y * (r - y)) ** j
         total += poly.sum_over_range(lo, end - 1)
-    return total
+    return int(total)

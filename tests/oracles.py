@@ -170,6 +170,34 @@ def brute_weighting_sum(graph, leg_values, r, profile):
     return total
 
 
+def per_stratum_r_polynomial(g, A, d):
+    """The r-polynomial class by the per-stratum route.
+
+    Unlike the rest of this module it reuses the package's numeric class:
+    it builds ``pixton_class`` at the 2d+3 default sample moduli and
+    interpolates every stratum coefficient on its own.  ``r_polynomial``
+    interpolates one factor per weighting block instead; the class is
+    linear in the block factors, so both routes give the same class with
+    ``QPoly`` coefficients.
+    """
+    from tautdr.intersection import TautClass
+    from tautdr.pixton import admissible_r_bound, pixton_class
+    from tautdr.qpoly import newton_interpolate
+
+    r0 = admissible_r_bound(A, d) + 1
+    samples = range(r0, r0 + 2 * d + 3)
+    sampled = {r: pixton_class(g, A, d, r) for r in samples}
+    strata = set().union(*(cls.terms for cls in sampled.values()))
+    out = TautClass(g, len(A))
+    for stratum in strata:
+        poly = newton_interpolate(
+            [(r, sampled[r].terms.get(stratum, Fraction(0))) for r in samples]
+        )
+        if poly:
+            out.terms[stratum] = poly
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Bipartite gluing graphs
 

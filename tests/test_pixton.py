@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import per_stratum_r_polynomial
 from tautdr import (
     StableGraph,
     dr_cycle,
@@ -23,7 +24,7 @@ from tautdr.pixton import (
     admissible_r_bound,
     constant_term,
 )
-from tautdr import intersection, pixton
+from tautdr import intersection, pixton, weightsums
 from tautdr.intersection import PRODUCT_DIMENSION_BOUND
 from tautdr.qpoly import QPoly
 
@@ -79,6 +80,77 @@ def test_r_polynomial_coefficients_are_polynomials():
     # evaluating the interpolated polynomial reproduces direct builds
     for r in (11, 17):
         assert rp.taut.evaluate_poly_coefficients(r) == pixton_class(1, (0,), 1, r)
+
+
+# one weight vector per (g, n) type of the check-4 grid
+BLOCK_ROUTE_TYPES = [
+    (0, (2, -1, -1)),
+    (0, (1, 1, -1, -1)),
+    (0, (2, 1, 0, -1, -2)),
+    (0, (1, 1, 0, 0, -1, -1)),
+    (1, (0,)),
+    (1, (2, -2)),
+    (1, (2, -1, -1)),
+    (2, ()),
+]
+
+
+BLOCK_ROUTE_PROBLEMS = [
+    (g, A, d) for g, A in BLOCK_ROUTE_TYPES for d in range(4)
+] + [(2, (1, -1), 3), (3, (0,), 3)]
+
+
+@pytest.mark.parametrize(
+    "problem",
+    BLOCK_ROUTE_PROBLEMS,
+    ids=[f"{g};{','.join(map(str, A))};{d}" for g, A, d in BLOCK_ROUTE_PROBLEMS],
+)
+def test_block_interpolation_matches_per_stratum_route(problem):
+    assert r_polynomial(*problem).taut == per_stratum_r_polynomial(*problem)
+
+
+@pytest.mark.parametrize(
+    "offset,error",
+    [
+        (2 * 2 + 3, HeldOutMismatchError),  # the first held-out modulus
+        (2, PolynomialityError),  # a sample modulus
+    ],
+    ids=["held-out", "sample"],
+)
+def test_block_checks_catch_one_wrong_factor(monkeypatch, offset, error):
+    g, A, d = 1, (1, -1), 2
+    modulus = admissible_r_bound(A, d) + 1 + offset
+    weighting_power_sums = pixton.weighting_power_sums
+    perturbed = []
+
+    def off_by_one(graph, leg_values, moduli, profiles):
+        # raise the factor r^(-h1) T of the first block by exactly 1
+        sums = weighting_power_sums(graph, leg_values, moduli, profiles)
+        if not perturbed:
+            profile = next(iter(sums))
+            sums[profile][list(moduli).index(modulus)] += modulus**graph.h1
+            perturbed.append(profile)
+        return sums
+
+    monkeypatch.setattr(pixton, "weighting_power_sums", off_by_one)
+    with pytest.raises(error):
+        r_polynomial(g, A, d)
+    assert len(perturbed) == 1
+
+
+def test_edge_forms_are_found_once_per_graph(monkeypatch):
+    # the forms do not depend on r, so one r_polynomial call needs them
+    # once per graph, not once per modulus
+    calls = Counter()
+    edge_weight_forms = weightsums.edge_weight_forms
+
+    def counting(graph, leg_values):
+        calls[graph] += 1
+        return edge_weight_forms(graph, leg_values)
+
+    monkeypatch.setattr(weightsums, "edge_weight_forms", counting)
+    r_polynomial(1, (1, -1, 0), 2)
+    assert calls and set(calls.values()) == {1}
 
 
 def test_r_polynomial_accepts_explicit_samples():

