@@ -32,6 +32,16 @@ edge).  A vertex is stable when its degree is non-zero or the number of
 half-edges exceeds ``2 - 2*genus``.  The rigid side may be empty only for
 graphs consisting of a single rubber vertex; the whole graph must be
 connected.
+
+:func:`enumerate_bipartite` generates candidates in one flat loop.  For each
+count of rubber and rigid vertices it places every positive root on a
+vertex (a zero-end root on a rubber vertex, a marking root on a rigid one),
+keeping only placements in which every rubber vertex has a zero-end root and
+rubber vertices come in the order of their least zero-end root.  It places
+every negative root on a rubber vertex, balances each rubber vertex with a
+bundle of edges, and drops a disconnected edge list before any leg or
+vertex genus is placed.  Each remaining candidate is validated by the
+constructor and reduced to its canonical form.
 """
 
 from __future__ import annotations
@@ -441,7 +451,8 @@ class EnumerationBounds:
 
     ``None`` means "use the intrinsic bound" derived from the topological
     type; explicit values may truncate the enumeration, in which case the
-    output is complete only within the caps.
+    output is complete only within the caps.  A cap of 0 is a cap: no
+    vertex, edge or edge degree of that kind may occur.
     """
 
     max_rubber_vertices: int | None = None
@@ -449,33 +460,15 @@ class EnumerationBounds:
     max_edges: int | None = None
     max_edge_degree: int | None = None
 
+    def __post_init__(self):
+        for name, cap in vars(self).items():
+            if cap is not None and cap < 0:
+                raise ValueError(f"{name} must be non-negative or None")
 
-def _set_partitions(items, blocks):
-    """Partitions of ``items`` into exactly ``blocks`` non-empty lists."""
-    items = list(items)
-    if blocks == 0:
-        if not items:
-            yield []
-        return
-    if len(items) < blocks:
-        return
 
-    def rec(rest, parts):
-        if not rest:
-            if len(parts) == blocks:
-                yield [list(p) for p in parts]
-            return
-        x = rest[0]
-        for i in range(len(parts)):
-            parts[i].append(x)
-            yield from rec(rest[1:], parts)
-            parts[i].pop()
-        if len(parts) < blocks:
-            parts.append([x])
-            yield from rec(rest[1:], parts)
-            parts.pop()
-
-    yield from rec(items, [])
+def _cap(cap, intrinsic):
+    """An explicit cap, clipped to the intrinsic bound it can only tighten."""
+    return intrinsic if cap is None else min(cap, intrinsic)
 
 
 def _edge_multisets(total, targets, max_deg, max_parts):
@@ -503,15 +496,9 @@ def _edge_multisets(total, targets, max_deg, max_parts):
     yield from rec(0, total, max_parts, [])
 
 
-def _distributions(labels, num_targets):
-    """All assignments of each label to one of ``num_targets`` slots."""
-    if num_targets == 0:
-        if labels:
-            return
-        yield {}
-        return
-    for combo in itertools.product(range(num_targets), repeat=len(labels)):
-        yield dict(zip(labels, combo))
+def _slots(items, places, k):
+    """The items placed on each of ``k`` slots, in their given order."""
+    return [tuple(x for x, p in zip(items, places) if p == i) for i in range(k)]
 
 
 def enumerate_bipartite(gamma, bounds=None):
@@ -520,6 +507,16 @@ def enumerate_bipartite(gamma, bounds=None):
     Returns a list of ``(graph, automorphism_count)`` pairs in a
     deterministic order.  ``gamma`` is a :class:`TopologicalType`; its
     contact orders must sum to ``beta``.
+
+    Root placement: each positive root goes to a vertex, as a zero-end root
+    on a rubber vertex or a marking root on a rigid one, and each negative
+    root to a rubber vertex.  Rubber ordering: a placement is kept only if
+    every rubber vertex has a zero-end root and the rubber vertices come in
+    the order of their least zero-end root, so the s! reorderings of the
+    rubber side are generated once.  Each rubber vertex then gets an edge
+    bundle balancing its roots, and connectivity is decided on the edge
+    list before legs and vertex genera are placed.  Every candidate left
+    is validated by :class:`BipartiteGraph`.
     """
     if not isinstance(gamma, TopologicalType):
         gamma = TopologicalType(*gamma)
@@ -527,146 +524,80 @@ def enumerate_bipartite(gamma, bounds=None):
     if bounds is None:
         bounds = EnumerationBounds()
 
-    g, n, beta, rho, mu = gamma.genus, gamma.num_legs, gamma.beta, gamma.rho, gamma.mu
-    pos = [n + 1 + j for j in range(rho) if mu[j] > 0]
-    neg = [n + 1 + j for j in range(rho) if mu[j] < 0]
-    weight = {n + 1 + j: mu[j] for j in range(rho)}
-    s_plus = sum(mu[j] for j in range(rho) if mu[j] > 0)
-
-    max_rubber = min(len(pos), bounds.max_rubber_vertices or len(pos))
-    max_rigid = bounds.max_rigid_vertices or max(beta, 1)
-    max_edges = min(s_plus, bounds.max_edges or s_plus)
-    max_edge_degree = min(s_plus, bounds.max_edge_degree or s_plus)
-    legs = list(range(1, n + 1))
+    g, n, mu = gamma.genus, gamma.num_legs, gamma.mu
+    pos = [(n + 1 + j, m) for j, m in enumerate(mu) if m > 0]
+    neg = [(n + 1 + j, m) for j, m in enumerate(mu) if m < 0]
+    s_plus = sum(m for _, m in pos)
+    max_edges = _cap(bounds.max_edges, s_plus)
+    max_edge_degree = _cap(bounds.max_edge_degree, s_plus)
 
     found = {}
-
-    def consider(side0, side_inf, edges):
-        try:
-            graph = BipartiteGraph(side0, side_inf, edges)
-        except ValueError:
-            return
-        if graph.topological_type() != gamma:
-            return
-        key, aut = graph._symmetry()
-        found.setdefault(key, aut)
-
-    for p0 in _subsets(pos):
-        p0set = set(p0)
-        pinf = [l for l in pos if l not in p0set]
-        rubber_labels = list(p0) + neg
-        s_choices = [0] if not rubber_labels else range(1, max_rubber + 1)
-        for s in s_choices:
-            if s == 0 and rubber_labels:
+    for s, t in itertools.product(
+        range(_cap(bounds.max_rubber_vertices, len(pos)) + 1),
+        range(_cap(bounds.max_rigid_vertices, max(gamma.beta, 1)) + 1),
+    ):
+        for places in itertools.product(range(s + t), repeat=len(pos)):
+            if list(dict.fromkeys(p for p in places if p < s)) != list(range(s)):
                 continue
-            for zero_blocks in _set_partitions(p0, s):
-                for neg_assign in _distributions(neg, s):
-                    # per-rubber-vertex labelled content
-                    rubber_data = []
-                    ok = True
-                    for i in range(s):
-                        zr = tuple(
-                            sorted((l, weight[l]) for l in zero_blocks[i])
-                        )
-                        nr = tuple(
-                            sorted(
-                                (l, weight[l])
-                                for l, tgt in neg_assign.items()
-                                if tgt == i
-                            )
-                        )
-                        need = sum(w for _, w in zr) + sum(w for _, w in nr)
-                        if need < 0 or (need == 0 and not nr):
-                            # cannot balance, or no infinity-end contact
-                            ok = False
-                            break
-                        rubber_data.append((zr, nr, need))
-                    if not ok:
+            roots = _slots(pos, places, s + t)
+            for neg_places in itertools.product(range(s), repeat=len(neg)):
+                neg_roots = _slots(neg, neg_places, s)
+                bundles = [
+                    _edge_multisets(
+                        sum(w for _, w in roots[i] + neg_roots[i]),
+                        range(t),
+                        max_edge_degree,
+                        max_edges,
+                    )
+                    for i in range(s)
+                ]
+                for per_rubber in itertools.product(*bundles):
+                    edges = [(i, j, d) for i, b in enumerate(per_rubber) for j, d in b]
+                    h1 = len(edges) - (s + t) + 1
+                    links = [(i, s + j) for i, j, _ in edges]
+                    if (
+                        len(edges) > max_edges
+                        or h1 > g
+                        or len(set(_union_roots(s + t, links))) != 1
+                    ):
                         continue
-                    total_edge_degree = sum(need for _, _, need in rubber_data)
-                    if total_edge_degree > s_plus:
-                        continue
-                    t_min = 0 if total_edge_degree == 0 and not pinf else 1
-                    for t in range(t_min, max_rigid + 1):
-                        if t == 0 and (pinf or total_edge_degree):
-                            continue
-                        for mark_assign in _distributions(pinf, t):
-                            for leg_assign in _distributions(legs, s + t):
-                                yield_edges = [
-                                    _edge_multisets(
-                                        need,
-                                        range(t),
-                                        max_edge_degree,
-                                        max_edges,
-                                    )
-                                    for _, _, need in rubber_data
-                                ]
-                                for per_vertex_edges in itertools.product(
-                                    *yield_edges
-                                ):
-                                    edges = []
-                                    for i, bundle in enumerate(per_vertex_edges):
-                                        for tgt, d in bundle:
-                                            edges.append((i, tgt, d))
-                                    if len(edges) > max_edges:
-                                        continue
-                                    h1 = len(edges) - (s + t) + 1
-                                    gsum = g - h1
-                                    if gsum < 0:
-                                        continue
-                                    for genera in _compositions(gsum, s + t):
-                                        side0 = tuple(
-                                            RubberVertex(
-                                                genera[i],
-                                                tuple(
-                                                    l
-                                                    for l, tgt in leg_assign.items()
-                                                    if tgt == i
-                                                ),
-                                                rubber_data[i][0],
-                                                rubber_data[i][1],
-                                            )
-                                            for i in range(s)
+                    degrees = [
+                        sum(w for _, w in roots[s + j])
+                        + sum(d for _, k, d in edges if k == j)
+                        for j in range(t)
+                    ]
+                    for leg_places in itertools.product(range(s + t), repeat=n):
+                        legs = _slots(range(1, n + 1), leg_places, s + t)
+                        for genera in _compositions(g - h1, s + t):
+                            try:
+                                graph = BipartiteGraph(
+                                    tuple(
+                                        RubberVertex(
+                                            genera[i], legs[i], roots[i], neg_roots[i]
                                         )
-                                        side_inf = tuple(
-                                            RelativeVertex(
-                                                genera[s + j],
-                                                sum(
-                                                    weight[l]
-                                                    for l, tgt in mark_assign.items()
-                                                    if tgt == j
-                                                )
-                                                + sum(
-                                                    d
-                                                    for i0, tgt, d in edges
-                                                    if tgt == j
-                                                ),
-                                                tuple(
-                                                    l
-                                                    for l, tgt in leg_assign.items()
-                                                    if tgt == s + j
-                                                ),
-                                                tuple(
-                                                    sorted(
-                                                        (l, weight[l])
-                                                        for l, tgt in mark_assign.items()
-                                                        if tgt == j
-                                                    )
-                                                ),
-                                            )
-                                            for j in range(t)
+                                        for i in range(s)
+                                    ),
+                                    tuple(
+                                        RelativeVertex(
+                                            genera[s + j],
+                                            degrees[j],
+                                            legs[s + j],
+                                            roots[s + j],
                                         )
-                                        consider(side0, side_inf, edges)
+                                        for j in range(t)
+                                    ),
+                                    edges,
+                                )
+                            except ValueError:
+                                continue
+                            if graph.topological_type() == gamma:
+                                key, aut = graph._symmetry()
+                                found.setdefault(key, aut)
 
     ordered = sorted(found, key=lambda gr: gr._encode(
         tuple(range(len(gr.side0))), tuple(range(len(gr.side_inf)))
     ))
     return [(gr, found[gr]) for gr in ordered]
-
-
-def _subsets(items):
-    for k in range(len(items) + 1):
-        yield from itertools.combinations(items, k)
 
 
 def rho_minus(mu, r):

@@ -36,11 +36,12 @@ vanish exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .intersection import (
     PRODUCT_DIMENSION_BOUND,
@@ -91,27 +92,6 @@ def admissible_r_bound(A: Sequence[int], d: int) -> int:
     return d * max(1, max_abs) + sum(abs(a) for a in A) + 2
 
 
-def _leg_exponent_vectors(
-    A: Sequence[int], budget: int
-) -> Iterator[tuple[int, ...]]:
-    """psi exponent vectors with zero entries wherever a_i = 0, sum <= budget."""
-    support = [i for i, a in enumerate(A) if a != 0]
-
-    def rec(pos: int, remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if pos == len(support):
-            vec = [0] * len(A)
-            for i, k in zip(support, acc):
-                vec[i] = k
-            yield tuple(vec)
-            return
-        for k in range(remaining + 1):
-            acc.append(k)
-            yield from rec(pos + 1, remaining - k, acc)
-            acc.pop()
-
-    yield from rec(0, budget, [])
-
-
 @dataclass(frozen=True)
 class _Template:
     """Structural data of the class, independent of the modulus r.
@@ -133,11 +113,18 @@ def _build_template(g: int, A: tuple[int, ...], d: int) -> _Template:
     n = len(A)
     graphs = _all_graphs(g, n)
     blocks: dict[tuple[int, tuple[int, ...]], list[tuple[DecoratedStratum, Fraction]]] = {}
+    support = [i for i, a in enumerate(A) if a != 0]
     for gi, graph in enumerate(graphs):
         n_edges = graph.n_edges
         if n_edges > d:
             continue
-        for leg_vec in _leg_exponent_vectors(A, d - n_edges):
+        # psi exponents on the legs with a_i != 0, summing to at most the
+        # budget: the last part of each composition is the unused slack
+        for parts in _compositions(d - n_edges, len(support) + 1):
+            leg_vec = [0] * n
+            for i, k in zip(support, parts[:-1]):
+                leg_vec[i] = k
+            leg_vec = tuple(leg_vec)
             leg_coeff = Fraction(1)
             for i, k in enumerate(leg_vec):
                 if k:
@@ -150,7 +137,10 @@ def _build_template(g: int, A: tuple[int, ...], d: int) -> _Template:
                     sign = 1 if (j + 1) % 2 == 0 else -1
                     edge_coeff *= Fraction(sign, 2**j * factorial(j))
                 block = blocks.setdefault((gi, profile), [])
-                for splits in _edge_splits(profile):
+                # each edge's power j split into side exponents a + b = j - 1
+                for splits in itertools.product(
+                    *(_compositions(j - 1, 2) for j in profile)
+                ):
                     split_coeff = 1
                     for j, (alpha, _beta) in zip(profile, splits):
                         split_coeff *= comb(j - 1, alpha)
@@ -161,18 +151,6 @@ def _build_template(g: int, A: tuple[int, ...], d: int) -> _Template:
                         (stratum, leg_coeff * edge_coeff * split_coeff)
                     )
     return _Template(g, A, d, graphs, blocks)
-
-
-def _edge_splits(profile: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All ways to split each edge's power j into side exponents (a, b),
-    a + b = j - 1."""
-    if not profile:
-        yield ()
-        return
-    first, rest = profile[0], profile[1:]
-    for alpha in range(first):
-        for tail in _edge_splits(rest):
-            yield ((alpha, first - 1 - alpha),) + tail
 
 
 def pixton_class(g: int, A: Sequence[int], d: int, r: int) -> TautClass:

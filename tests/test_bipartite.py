@@ -1,5 +1,7 @@
 """Two-sided gluing graphs: validation, enumeration, counts, invariants."""
 
+from collections import Counter
+
 import pytest
 
 from tautdr import (
@@ -181,16 +183,74 @@ def test_enumeration_counts(gamma):
         assert aut >= 1
 
 
+def _library_census(gamma, bounds=None):
+    lib = {}
+    for gr, aut in enumerate_bipartite(TopologicalType(*gamma), bounds):
+        key = bipartite_canonical_key(*bipartite_raw(gr))
+        assert key not in lib  # no isomorphic duplicates
+        lib[key] = aut
+    return lib
+
+
 def test_enumeration_matches_brute_force_spot_checks():
-    for gamma in [(0, 0, 2, 2, (3, -1)), (1, 0, 2, 2, (1, 1)), (2, 1, 1, 2, (2, -1))]:
-        g, n, beta, rho, mu = gamma
-        brute = brute_bipartite_graphs(g, n, beta, rho, mu)
-        lib = {}
-        for gr, aut in enumerate_bipartite(TopologicalType(*gamma)):
-            key = bipartite_canonical_key(*bipartite_raw(gr))
-            assert key not in lib  # no isomorphic duplicates
-            lib[key] = aut
-        assert lib == brute
+    for gamma in [
+        (0, 0, 2, 2, (3, -1)),
+        (1, 0, 2, 2, (1, 1)),
+        (2, 1, 1, 2, (2, -1)),
+        # two legs, which may sit on interchangeable vertices
+        (1, 2, 1, 1, (1,)),
+        (0, 2, 1, 2, (2, -1)),
+    ]:
+        assert _library_census(gamma) == brute_bipartite_graphs(*gamma)
+
+
+@pytest.mark.parametrize("caps", [(2, 0, 3, 3), (0, 2, 3, 3), (2, 2, 0, 3), (1, 1, 3, 0)])
+def test_zero_caps_match_brute_force(caps):
+    # a cap of 0 forbids that kind of vertex or edge; it is not "no cap"
+    for gamma in [(1, 0, 2, 2, (1, 1)), (1, 0, 1, 1, (1,))]:
+        assert _library_census(gamma, EnumerationBounds(*caps)) == (
+            brute_bipartite_graphs(*gamma, *caps)
+        )
+
+
+def test_negative_caps_are_rejected():
+    for field in (
+        "max_rubber_vertices",
+        "max_rigid_vertices",
+        "max_edges",
+        "max_edge_degree",
+    ):
+        with pytest.raises(ValueError):
+            EnumerationBounds(**{field: -1})
+
+
+def test_enumeration_builds_only_connected_candidates(monkeypatch):
+    # connectivity is settled on the edge list, before legs and genera are
+    # placed, so no disconnected graph reaches the constructor
+    built = Counter()
+    post_init = BipartiteGraph.__post_init__
+
+    def counting(self):
+        built["all"] += 1
+        try:
+            post_init(self)
+        except ValueError:
+            if not self._is_connected():
+                built["disconnected"] += 1
+            raise
+
+    monkeypatch.setattr(BipartiteGraph, "__post_init__", counting)
+    caps = EnumerationBounds(2, 2, 3, 3)
+    contact_vectors = [
+        (), (1,), (2,), (1, 1), (1, -1), (-1, 1), (2, -1), (-1, 2), (2, -2), (3, -1)
+    ]
+    for g in (0, 1, 2):
+        for n in (0, 1):
+            for mu in contact_vectors:
+                if 0 <= sum(mu) <= 2:
+                    enumerate_bipartite(TopologicalType(g, n, sum(mu), len(mu), mu), caps)
+    assert built["all"] > 0
+    assert built["disconnected"] == 0
 
 
 def test_enumeration_respects_explicit_bounds():
