@@ -322,12 +322,6 @@ def aut_normalization(graph: StableGraph) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_is_zero(c) -> bool:
-    if isinstance(c, QPoly):
-        return not c
-    return c == 0
-
-
 class TautClass:
     """A rational (or polynomial-coefficient) sum of decorated strata."""
 
@@ -348,7 +342,7 @@ class TautClass:
         return 3 * self.g - 3 + self.n
 
     def _accumulate(self, stratum: DecoratedStratum, coeff) -> None:
-        if _coeff_is_zero(coeff):
+        if not coeff:
             return
         if stratum.graph.genus != self.g or stratum.graph.n_markings != self.n:
             raise ValueError("stratum does not live in the ambient moduli")
@@ -356,7 +350,7 @@ class TautClass:
             return  # classes above the dimension vanish
         key = stratum.canonical()
         new = self.terms.get(key, 0) + coeff
-        if _coeff_is_zero(new):
+        if not new:
             self.terms.pop(key, None)
         else:
             self.terms[key] = new
@@ -388,7 +382,7 @@ class TautClass:
         out = TautClass(self.g, self.n)
         for stratum, coeff in self.terms.items():
             new = coeff * factor
-            if not _coeff_is_zero(new):
+            if new:
                 out.terms[stratum] = new
         return out
 
@@ -482,7 +476,7 @@ class TautClass:
         out = TautClass(self.g, self.n)
         for stratum, coeff in self.terms.items():
             new = fn(coeff)
-            if not _coeff_is_zero(new):
+            if new:
                 out.terms[stratum] = new
         return out
 
@@ -597,36 +591,45 @@ def _multiply_trivial_into(
     """Multiply a trivial-graph monomial into an arbitrary stratum term.
 
     Restriction to the stratum sends psi at a marking to psi at the leg
-    carrying it and kappa_a to the sum of kappa_a over vertices; the kappa
-    sums are expanded multinomially.
+    carrying it and kappa_a to the sum of kappa_a over vertices.
     """
     graph = stratum.graph
     leg_psi = tuple(a + b for a, b in zip(stratum.leg_psi, triv.leg_psi))
-    partial = [(list(stratum.kappa), Fraction(1))]
-    for a in triv.kappa[0]:
-        expanded = []
-        for kappa_state, weight in partial:
-            for v in range(graph.n_vertices):
-                new_state = [list(ks) for ks in kappa_state]
-                new_state[v].append(a)
-                expanded.append(([tuple(sorted(ks)) for ks in new_state], weight))
-        partial = expanded
-    for kappa_state, weight in partial:
+    for kappa in _spread_kappas(
+        [stratum.kappa], triv.kappa[0], range(graph.n_vertices)
+    ):
         out._accumulate(
-            DecoratedStratum(graph, leg_psi, stratum.edge_psi, tuple(tuple(ks) for ks in kappa_state)),
-            c1 * c2 * weight,
+            DecoratedStratum(graph, leg_psi, stratum.edge_psi, kappa), c1 * c2
         )
+
+
+def _spread_kappas(
+    states: list[tuple[tuple[int, ...], ...]],
+    indices: Sequence[int],
+    targets: Sequence[int],
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The multinomial expansion of restricted kappa sums: every way to add
+    each kappa index of ``indices`` at one of the vertices ``targets``, to
+    each per-vertex kappa state of ``states``."""
+    for a in indices:
+        states = [
+            state[:v] + (tuple(sorted(state[v] + (a,))),) + state[v + 1 :]
+            for state in states
+            for v in targets
+        ]
+    return states
 
 
 @dataclass(frozen=True)
 class _ContractionStructure:
     """A realisation of a factor graph as a contraction of an ambient graph.
 
-    ``contracted`` is the set of contracted ambient edge indices;
-    ``edge_map[f] = (ambient_edge, flipped)`` matches factor edge ``f`` to a
-    surviving ambient edge (``flipped`` when the factor's side order lands
-    on the ambient edge's sides in reverse); ``vertex_map[v]`` is the factor
-    vertex receiving ambient vertex ``v``.
+    ``contracted`` is the set of contracted ambient edge indices; the rest
+    is a half-edge isomorphism from the quotient onto the factor, read back
+    to the ambient graph: ``edge_map[f] = (ambient_edge, flipped)`` matches
+    factor edge ``f`` to a surviving ambient edge (``flipped`` when the
+    factor's side order lands on the ambient edge's sides in reverse), and
+    ``vertex_map[v]`` is the factor vertex receiving ambient vertex ``v``.
     """
 
     contracted: frozenset[int]
@@ -645,58 +648,16 @@ def _contraction_structures(
     for combo in itertools.combinations(range(ambient.n_edges), need):
         contracted = frozenset(combo)
         quotient, vmap, surviving = ambient.contract(contracted)
-        for iso in _graph_isomorphisms(quotient, factor):
-            # Match surviving ambient edges to factor edges at half-edge level.
-            groups_src: dict[tuple[int, int], list[int]] = {}
-            for pos, (orig_idx, _swapped) in enumerate(surviving):
-                u, w = quotient.edges[pos]
-                key = (min(iso[u], iso[w]), max(iso[u], iso[w]))
-                groups_src.setdefault(key, []).append(pos)
-            groups_dst: dict[tuple[int, int], list[int]] = {}
-            for f, (u, w) in enumerate(factor.edges):
-                groups_dst.setdefault((u, w), []).append(f)
-            if set(groups_src) != set(groups_dst) or any(
-                len(groups_src[k]) != len(groups_dst[k]) for k in groups_src
-            ):
-                continue
-            keys = sorted(groups_dst)
-            per_key_choices = []
-            for key in keys:
-                src = groups_src[key]
-                dst = groups_dst[key]
-                is_loop = key[0] == key[1]
-                matchings = []
-                for perm in itertools.permutations(src):
-                    base = list(zip(dst, perm))
-                    orientation_sets = []
-                    for f, pos in base:
-                        orig_idx, swapped = surviving[pos]
-                        u, w = quotient.edges[pos]
-                        if is_loop:
-                            options = [(f, orig_idx, False), (f, orig_idx, True)]
-                        else:
-                            # Factor edge (a,b) with a<b has its first side at
-                            # vertex a; flip when the chain of side matchings
-                            # (ambient -> quotient -> factor) reverses order.
-                            a, _b = factor.edges[f]
-                            flip_quotient = iso[u] != a
-                            options = [(f, orig_idx, flip_quotient ^ swapped)]
-                        orientation_sets.append(options)
-                    for chosen in itertools.product(*orientation_sets):
-                        matchings.append(chosen)
-                per_key_choices.append(matchings)
-            for assembled in itertools.product(*per_key_choices):
-                edge_map_items: dict[int, tuple[int, bool]] = {}
-                for matching in assembled:
-                    for f, orig_idx, flipped in matching:
-                        edge_map_items[f] = (orig_idx, bool(flipped))
-                edge_map = tuple(
-                    edge_map_items[f] for f in range(factor.n_edges)
-                )
-                vertex_map = tuple(iso[vmap[v]] for v in range(ambient.n_vertices))
-                out.append(
-                    _ContractionStructure(contracted, edge_map, vertex_map)
-                )
+        for iso_vertices, iso_edges in _graph_isomorphisms(quotient, factor):
+            # Quotient edge pos is ambient edge surviving[pos], whose sides
+            # are swapped when the contraction reversed its endpoint order.
+            edge_map = [(0, False)] * factor.n_edges
+            for (orig, swapped), (f, flipped) in zip(surviving, iso_edges):
+                edge_map[f] = (orig, flipped ^ swapped)
+            vertex_map = tuple(iso_vertices[c] for c in vmap)
+            out.append(
+                _ContractionStructure(contracted, tuple(edge_map), vertex_map)
+            )
     return tuple(out)
 
 
@@ -724,9 +685,7 @@ def _multiply_boundary_terms(
             "products of two boundary terms are supported only for ambient "
             f"dimension <= {PRODUCT_DIMENSION_BOUND} (got {out.dimension})"
         )
-    norm = Fraction(1) / (
-        automorphism_count(s1.graph) * automorphism_count(s2.graph)
-    )
+    norm = aut_normalization(s1.graph) * aut_normalization(s2.graph)
     max_edges = s1.graph.n_edges + s2.graph.n_edges
     for ambient in _all_graphs(g, n):
         if ambient.n_edges > max_edges or ambient.n_edges < max(
@@ -764,7 +723,6 @@ def _accumulate_structure_pair(
     shared_edges: set[int],
     base_coeff,
 ) -> None:
-    n = ambient.n_markings
     leg_psi = tuple(a + b for a, b in zip(s1.leg_psi, s2.leg_psi))
     edge_psi = [[0, 0] for _ in range(ambient.n_edges)]
     for stratum, structure in ((s1, st1), (s2, st2)):
@@ -774,47 +732,27 @@ def _accumulate_structure_pair(
                 p, q = q, p
             edge_psi[orig][0] += p
             edge_psi[orig][1] += q
-    # kappa transport: factor vertex w receives kappas; distribute over the
-    # ambient vertices mapping to w (multinomial expansion).
-    kappa_expansions: list[tuple[list[tuple[int, ...]], Fraction]] = [
-        ([() for _ in range(ambient.n_vertices)], Fraction(1))
-    ]
+    # kappa transport: the kappas of factor vertex w are spread over the
+    # ambient vertices mapping to w.
+    kappa_states = [((),) * ambient.n_vertices]
     for stratum, structure in ((s1, st1), (s2, st2)):
         preimages: dict[int, list[int]] = {}
         for v in range(ambient.n_vertices):
             preimages.setdefault(structure.vertex_map[v], []).append(v)
         for w, ks in enumerate(stratum.kappa):
-            for a in ks:
-                new_exp = []
-                for state, weight in kappa_expansions:
-                    for v in preimages[w]:
-                        new_state = list(state)
-                        new_state[v] = tuple(sorted(new_state[v] + (a,)))
-                        new_exp.append((new_state, weight))
-                kappa_expansions = new_exp
+            kappa_states = _spread_kappas(kappa_states, ks, preimages[w])
     # excess factor: product over shared edges of (-psi_first - psi_second)
-    excess_terms: list[tuple[dict[int, int], int]] = [({}, 1)]
-    for e in sorted(shared_edges):
-        new_terms = []
-        for exps, sign in excess_terms:
-            for side in (0, 1):
-                new_exps = dict(exps)
-                new_exps[2 * e + side] = new_exps.get(2 * e + side, 0) + 1
-                new_terms.append((new_exps, -sign))
-        excess_terms = new_terms
-    for kappa_state, weight in kappa_expansions:
-        for exps, sign in excess_terms:
+    shared = sorted(shared_edges)
+    coeff = base_coeff * (-1) ** len(shared)
+    for kappa in kappa_states:
+        for sides in itertools.product((0, 1), repeat=len(shared)):
             final_edges = [list(pq) for pq in edge_psi]
-            for slot, extra in exps.items():
-                e, side = divmod(slot, 2)
-                final_edges[e][side] += extra
+            for e, side in zip(shared, sides):
+                final_edges[e][side] += 1
             stratum = DecoratedStratum(
-                ambient,
-                leg_psi,
-                tuple((p, q) for p, q in final_edges),
-                tuple(kappa_state),
+                ambient, leg_psi, tuple((p, q) for p, q in final_edges), kappa
             )
-            out._accumulate(stratum, base_coeff * weight * sign)
+            out._accumulate(stratum, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -888,13 +826,13 @@ def _pullback_trivial_term(out: TautClass, stratum: DecoratedStratum, coeff) -> 
 
 def _pullback_plain_stratum(out: TautClass, stratum: DecoratedStratum, coeff) -> None:
     graph = stratum.graph
-    symmetries = _graph_isomorphisms(graph, graph)
+    vertex_maps = {pi for pi, _edge_map in _graph_isomorphisms(graph, graph)}
     orbits: list[int] = []
     seen: set[int] = set()
     for v in range(graph.n_vertices):
         if v in seen:
             continue
-        orbit = {pi[v] for pi in symmetries}
+        orbit = {pi[v] for pi in vertex_maps}
         seen |= orbit
         orbits.append(v)
     for v in orbits:

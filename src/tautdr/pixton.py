@@ -280,9 +280,7 @@ def r_polynomial(
 def constant_term(cls: "RPolynomialClass | TautClass") -> TautClass:
     """The r^0 part: evaluate every polynomial coefficient at r = 0."""
     taut = cls.taut if isinstance(cls, RPolynomialClass) else cls
-    def at_zero(c):
-        return c(Fraction(0)) if isinstance(c, QPoly) else c
-    return taut.map_coefficients(at_zero)
+    return taut.evaluate_poly_coefficients(0)
 
 
 def dr_cycle(g: int, A: Sequence[int]) -> TautClass:

@@ -29,8 +29,11 @@ relabellings compatible with a cheap isomorphism invariant; because the
 invariant is preserved by every isomorphism, the representative does not
 depend on the input labelling.  ``_least_relabelling`` is the one routine
 computing it, for bare graphs and for graphs carrying psi and kappa
-decorations; ``_graph_isomorphisms`` is the one isomorphism search, and
-automorphisms are isomorphisms of a graph to itself.
+decorations.  ``_graph_isomorphisms`` is the one isomorphism search: it
+works on half-edges, matching parallel edges in every order and the two
+sides of a loop both ways.  The automorphism count is the number of
+half-edge isomorphisms of a graph to itself, and the contraction
+structures of class products read the same search.
 
 Census
 ------
@@ -44,7 +47,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -494,13 +496,19 @@ def _union_roots(k: int, links: Iterable[tuple[int, int]]) -> list[int]:
 
 def _graph_isomorphisms(
     source: StableGraph, target: StableGraph
-) -> list[dict[int, int]]:
-    """All vertex bijections source -> target preserving all structure.
+) -> list[tuple[tuple[int, ...], tuple[tuple[int, bool], ...]]]:
+    """All half-edge isomorphisms source -> target, as ``(vertex_map, edge_map)``.
 
-    Only bijections between vertices of equal invariant are tried; every
-    isomorphism preserves the invariant, and because it holds the genus and
-    the markings of a vertex, each bijection tried keeps genera and fixes
-    every marking, so only adjacency is left to check.
+    ``vertex_map[v]`` is the target vertex of source vertex ``v``;
+    ``edge_map[k] = (t, flipped)`` sends source edge ``k`` to target edge
+    ``t``, ``flipped`` when the side of ``k`` at its first-listed endpoint
+    lands on the second side of ``t``.  Parallel edges are matched in every
+    order and the two sides of a loop in both orientations.
+
+    Only vertex bijections between vertices of equal invariant are tried;
+    every isomorphism preserves the invariant, and because it holds the
+    genus and the markings of a vertex, each bijection tried keeps genera
+    and fixes every marking, so only the edges are left to match.
     """
     if (
         source.n_vertices != target.n_vertices
@@ -509,36 +517,53 @@ def _graph_isomorphisms(
         or source.n_markings != target.n_markings
     ):
         return []
-    src_inv = source._vertex_invariants()
-    dst_inv = target._vertex_invariants()
     groups_src: dict[tuple, list[int]] = {}
     groups_dst: dict[tuple, list[int]] = {}
-    for v, key in enumerate(src_inv):
+    for v, key in enumerate(source._vertex_invariants()):
         groups_src.setdefault(key, []).append(v)
-    for v, key in enumerate(dst_inv):
+    for v, key in enumerate(target._vertex_invariants()):
         groups_dst.setdefault(key, []).append(v)
     if set(groups_src) != set(groups_dst) or any(
         len(groups_src[k]) != len(groups_dst[k]) for k in groups_src
     ):
         return []
-    src_adj = _adjacency_matrix(source)
-    dst_adj = _adjacency_matrix(target)
-    k = source.n_vertices
+    edges_dst: dict[tuple[int, int], list[int]] = {}
+    for t, ends in enumerate(target.edges):
+        edges_dst.setdefault(ends, []).append(t)
     keys = sorted(groups_src)
+    vertex_map = [0] * source.n_vertices
     out = []
     for perms in itertools.product(
         *[itertools.permutations(groups_dst[key]) for key in keys]
     ):
-        iso: dict[int, int] = {}
         for key, perm in zip(keys, perms):
             for src_v, dst_v in zip(groups_src[key], perm):
-                iso[src_v] = dst_v
-        if all(
-            src_adj[u][w] == dst_adj[iso[u]][iso[w]]
-            for u in range(k)
-            for w in range(u, k)
+                vertex_map[src_v] = dst_v
+        edges_src: dict[tuple[int, int], list[int]] = {}
+        for k, (u, w) in enumerate(source.edges):
+            a, b = vertex_map[u], vertex_map[w]
+            edges_src.setdefault((min(a, b), max(a, b)), []).append(k)
+        if any(
+            len(edges_src.get(ends, ())) != len(ts) for ends, ts in edges_dst.items()
         ):
-            out.append(iso)
+            continue
+        # Per target edge group, every matching (source edge, image) of the
+        # source edges onto it.
+        blocks = []
+        for ends, ts in edges_dst.items():
+            block = []
+            for perm in itertools.permutations(edges_src[ends]):
+                sides = [
+                    (False, True) if ends[0] == ends[1]
+                    else (vertex_map[source.edges[k][0]] != ends[0],)
+                    for k in perm
+                ]
+                for flips in itertools.product(*sides):
+                    block.append(tuple(zip(perm, zip(ts, flips))))
+            blocks.append(block)
+        for chosen in itertools.product(*blocks):
+            edge_map = tuple(image for _k, image in sorted(itertools.chain(*chosen)))
+            out.append((tuple(vertex_map), edge_map))
     return out
 
 
@@ -546,37 +571,10 @@ def automorphism_count(graph: StableGraph) -> int:
     """Order of the automorphism group acting on half-edges.
 
     Automorphisms fix every leg, may permute vertices and edges, and may
-    flip the two half-edges of a loop.  The count factors as
-
-        (#vertex symmetries) * prod_{u<v} m_{uv}! * prod_v (l_v! * 2**l_v)
-
-    where m_{uv} is the number of parallel edges joining distinct vertices
-    u, v and l_v the number of loops at v: parallel edges and loops may be
-    permuted freely, and each loop's half-edges may be swapped.
+    flip the two half-edges of a loop: they are the half-edge isomorphisms
+    of the graph to itself.
     """
-    adjacency = _adjacency_matrix(graph)
-    total = len(_graph_isomorphisms(graph, graph))
-    k = graph.n_vertices
-    for u in range(k):
-        for v in range(u, k):
-            m = adjacency[u][v]
-            if u == v:
-                total *= factorial(m) * 2**m
-            else:
-                total *= factorial(m)
-    return total
-
-
-def _adjacency_matrix(graph: StableGraph) -> list[list[int]]:
-    k = graph.n_vertices
-    mat = [[0] * k for _ in range(k)]
-    for u, v in graph.edges:
-        if u == v:
-            mat[u][u] += 1
-        else:
-            mat[u][v] += 1
-            mat[v][u] += 1
-    return mat
+    return len(_graph_isomorphisms(graph, graph))
 
 
 # ---------------------------------------------------------------------------

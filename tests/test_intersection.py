@@ -1,6 +1,7 @@
 """Exact intersection numbers and tautological-class arithmetic."""
 
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 from math import factorial
 
@@ -20,9 +21,11 @@ from tautdr import (
 from tautdr.intersection import (
     ProductCapabilityError,
     PullbackUnavailableError,
+    _contraction_structures,
     forgetful_pullback,
     generators_of_degree,
 )
+from tautdr.stable_graphs import automorphism_count, enumerate_stable_graphs
 
 from oracles import psi_integral_genus0
 
@@ -236,6 +239,35 @@ def test_boundary_products_guarded_by_dimension_bound():
     cls = stratum_class(bridge)
     with pytest.raises(ProductCapabilityError):
         cls.product(cls)
+
+
+@pytest.mark.parametrize("g,n", [(1, 3), (2, 1)])
+def test_contraction_structures_are_half_edge_isomorphisms(g, n):
+    census = enumerate_stable_graphs(g, n)
+    for ambient in census:
+        for factor in census:
+            structures = _contraction_structures(ambient, factor)
+            need = ambient.n_edges - factor.n_edges
+            if need < 0:
+                assert structures == ()
+                continue
+            for st in structures:
+                assert len(st.contracted) == need
+                images = [orig for orig, _flipped in st.edge_map]
+                assert len(set(images)) == len(images)
+                assert set(images) == set(range(ambient.n_edges)) - st.contracted
+                for (a, b), (orig, flipped) in zip(factor.edges, st.edge_map):
+                    u, w = ambient.edges[orig]
+                    ends = (st.vertex_map[u], st.vertex_map[w])
+                    assert ends == ((b, a) if flipped else (a, b))
+                for idx in st.contracted:
+                    u, w = ambient.edges[idx]
+                    assert st.vertex_map[u] == st.vertex_map[w]
+            subsets = sum(
+                ambient.contract(frozenset(combo))[0].canonical() == factor
+                for combo in combinations(range(ambient.n_edges), need)
+            )
+            assert len(structures) == automorphism_count(factor) * subsets
 
 
 def test_relabel_markings_permutes_psi():

@@ -107,7 +107,7 @@ def test_canonical_form_ignores_vertex_labels(g, n):
 SMALL_CENSUS = enumerate_stable_graphs(1, 3) + enumerate_stable_graphs(2, 1)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_decorated_canonical_form_ignores_vertex_labels(data):
     gr = data.draw(st.sampled_from(SMALL_CENSUS))
@@ -135,7 +135,9 @@ def test_enumeration_is_deterministic_and_canonical():
         assert gr == gr.canonical()
 
 
-@pytest.mark.parametrize("g,n", [(0, 4), (1, 1), (1, 2), (2, 0)])
+@pytest.mark.parametrize(
+    "g,n", [(0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1)]
+)
 def test_automorphisms_match_half_edge_brute_force(g, n):
     for gr in enumerate_stable_graphs(g, n):
         assert automorphism_count(gr) == brute_graph_automorphisms(gr)
