@@ -47,7 +47,6 @@ constructor and reduced to its canonical form.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -411,9 +410,6 @@ class BipartiteGraph:
         )
         edges = tuple(tuple(e) for e in obj["edges"])
         return BipartiteGraph(side0, side_inf, edges)
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 @dataclass(frozen=True)

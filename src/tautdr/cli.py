@@ -23,6 +23,7 @@ import click
 from .stable_graphs import enumerate_stable_graphs, automorphism_count
 from .intersection import ProductCapabilityError, PullbackUnavailableError
 from .pixton import (
+    _dr_report,
     r_polynomial,
     constant_term,
     vanishing_check,
@@ -195,26 +196,12 @@ def cmd_dr(genus, a_text, degree, r_samples_text, fmt, out):
         format=fmt,
         out=out,
     )
-    n = len(a_vector)
-    dim = 3 * genus - 3 + n
     try:
         if degree > genus:
             report = vanishing_check(genus, a_vector, degree, samples=r_samples)
         else:
             rp = r_polynomial(genus, a_vector, degree, samples=r_samples)
-            const = constant_term(rp)
-            integral = const.integrate() if degree == dim else None
-            report = {
-                "problem": {"g": genus, "A": list(a_vector), "d": degree},
-                "samples": list(rp.samples),
-                "class": rp.taut.to_json_obj(),
-                "constant_term": const.to_json_obj(),
-                "constant_term_integral": (
-                    None if integral is None else _frac(integral)
-                ),
-                "pairings": [],
-                "verdict": "not-applicable",
-            }
+            report = _dr_report(genus, a_vector, degree, rp, constant_term(rp))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     except (ProductCapabilityError, PullbackUnavailableError) as exc:

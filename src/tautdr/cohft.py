@@ -16,7 +16,6 @@ verdict of equality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -179,7 +178,6 @@ class RelativePointFamily:
     """
 
     name = "relative-point-degree-0"
-    has_pullback_data = True
 
     # degree of the line's tangent bundle twisted down by the log point
     LOG_TANGENT_DEGREE = Fraction(2 - 1)
@@ -282,7 +280,6 @@ class ConstantFamily:
     """Fundamental class in every slot, with the trivial one-element pairing."""
 
     name = "constant-fundamental"
-    has_pullback_data = True
     supported_types = ((0, 3, 0), (0, 4, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0))
 
     @property
@@ -341,6 +338,18 @@ def _transpositions(m):
     return [(p, p + 1) for p in range(1, m)]
 
 
+def _loop_partial_sum(family, loop_case, depth):
+    """Right side of the self-gluing identity for ``loop_case`` = (g, m,
+    beta, insertions), truncated to levels of absolute value <= ``depth``:
+    the genus g - 1 values with one basis pair of each level glued in."""
+    g, m, beta, ins = loop_case
+    total = Fraction(0)
+    for level in range(-depth, depth + 1):
+        for e_j, e_k in family.eta_pairs(level):
+            total += _scalar_part(family.value(g - 1, m + 2, beta, ins + (e_j, e_k)))
+    return total
+
+
 def cohft_axiom_predicates(family):
     """Check permutation, unit, splitting and loop behavior of a family.
 
@@ -386,31 +395,27 @@ def cohft_axiom_predicates(family):
 
     # --- unit / forgetful ----------------------------------------------
     types = set(family.supported_types)
-    if not getattr(family, "has_pullback_data", False):
-        report["unit"]["skipped"] += 1
-        mark_partial()
-    else:
-        for g, m, beta in family.supported_types:
-            if (g, m + 1, beta) not in types:
+    for g, m, beta in family.supported_types:
+        if (g, m + 1, beta) not in types:
+            continue
+        for ins in family.sample_insertions(g, m):
+            small = family.value(g, m, beta, ins)
+            big = family.value(g, m + 1, beta, ins + (family.unit,))
+            if small is None or big is None:
+                report["unit"]["skipped"] += 1
+                mark_partial()
                 continue
-            for ins in family.sample_insertions(g, m):
-                small = family.value(g, m, beta, ins)
-                big = family.value(g, m + 1, beta, ins + (family.unit,))
-                if small is None or big is None:
-                    report["unit"]["skipped"] += 1
-                    mark_partial()
-                    continue
-                try:
-                    pulled = forgetful_pullback(small)
-                except PullbackUnavailableError:
-                    report["unit"]["skipped"] += 1
-                    mark_partial()
-                    continue
-                report["unit"]["checked"] += 1
-                if not classes_agree(big, pulled):
-                    report["unit"]["violations"].append(
-                        {"type": (g, m, beta), "insertions": ins}
-                    )
+            try:
+                pulled = forgetful_pullback(small)
+            except PullbackUnavailableError:
+                report["unit"]["skipped"] += 1
+                mark_partial()
+                continue
+            report["unit"]["checked"] += 1
+            if not classes_agree(big, pulled):
+                report["unit"]["violations"].append(
+                    {"type": (g, m, beta), "insertions": ins}
+                )
 
     # --- splitting -------------------------------------------------------
     for g, m, beta, ins, side1, g1, g2 in family.splitting_cases():
@@ -455,17 +460,12 @@ def cohft_axiom_predicates(family):
     loop_case = family.loop_case()
     if loop_case is not None:
         g, m, beta, ins = loop_case
-        total = family.value(g, m, beta, ins)
         try:
-            lhs = _scalar_part(total)
-            partial_sums = {}
-            for depth in _LOOP_PARTIAL_DEPTHS:
-                acc = Fraction(0)
-                for level in range(-depth, depth + 1):
-                    for e_j, e_k in family.eta_pairs(level):
-                        v = family.value(g - 1, m + 2, beta, ins + (e_j, e_k))
-                        acc += _scalar_part(v)
-                partial_sums[depth] = acc
+            lhs = _scalar_part(family.value(g, m, beta, ins))
+            partial_sums = {
+                depth: _loop_partial_sum(family, loop_case, depth)
+                for depth in _LOOP_PARTIAL_DEPTHS
+            }
             values = [partial_sums[d] for d in _LOOP_PARTIAL_DEPTHS]
             stable = all(v == values[0] for v in values)
             report["loop"] = {
@@ -531,13 +531,9 @@ def loop_axiom_demo(max_level):
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
     family = RelativePointFamily()
-    u, w = unit_insertion(), point_insertion()
-    lhs = _scalar_part(family.value(1, 1, 0, (u,)))
-    partial = 2 * _scalar_part(family.value(0, 3, 0, (u, u, w)))
-    for level in itertools.chain(range(-max_level, 0), range(1, max_level + 1)):
-        partial += _scalar_part(
-            family.value(
-                0, 3, 0, (u, level_insertion(level), level_insertion(-level))
-            )
-        )
-    return {"lhs": lhs, "partial_rhs": partial}
+    loop_case = family.loop_case()
+    g, m, beta, ins = loop_case
+    return {
+        "lhs": _scalar_part(family.value(g, m, beta, ins)),
+        "partial_rhs": _loop_partial_sum(family, loop_case, max_level),
+    }

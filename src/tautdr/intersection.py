@@ -167,19 +167,14 @@ def _psi_compute(g: int, ds: tuple[int, ...]) -> Fraction:
         coeff = Fraction(_double_factorial(2 * a + 1) * _double_factorial(2 * b + 1))
         inner_term = _psi(g - 1, tuple(sorted(rest + [a, b])))
         split_sum = Fraction(0)
-        indices = list(range(len(rest)))
-        for size in range(len(rest) + 1):
-            for subset in itertools.combinations(indices, size):
-                chosen = set(subset)
-                part_i = [rest[i] for i in indices if i in chosen]
-                part_j = [rest[i] for i in indices if i not in chosen]
-                for g1 in range(g + 1):
-                    g2 = g - g1
-                    left = _psi(g1, tuple(sorted(part_i + [a])))
-                    if left:
-                        right = _psi(g2, tuple(sorted(part_j + [b])))
-                        if right:
-                            split_sum += left * right
+        for part_i, part_j in _subset_splits(rest):
+            for g1 in range(g + 1):
+                g2 = g - g1
+                left = _psi(g1, tuple(sorted(part_i + (a,))))
+                if left:
+                    right = _psi(g2, tuple(sorted(part_j + (b,))))
+                    if right:
+                        split_sum += left * right
         inner += coeff * (inner_term + split_sum)
     total += Fraction(1, 2) * inner
     return total / _double_factorial(2 * k + 3)
@@ -220,17 +215,28 @@ def _kappa_psi(
         return _psi(g, psis)
     first, rest = kappas[0], kappas[1:]
     total = Fraction(0)
-    indices = list(range(len(rest)))
-    for size in range(len(rest) + 1):
-        for subset in itertools.combinations(indices, size):
-            chosen = set(subset)
-            extra = first + 1 + sum(rest[i] for i in chosen)
-            remaining = tuple(rest[i] for i in indices if i not in chosen)
-            sign = -1 if size % 2 else 1
-            total += sign * _kappa_psi(
-                g, tuple(sorted(psis + (extra,))), tuple(sorted(remaining))
-            )
+    for chosen, remaining in _subset_splits(rest):
+        extra = first + 1 + sum(chosen)
+        sign = -1 if len(chosen) % 2 else 1
+        total += sign * _kappa_psi(
+            g, tuple(sorted(psis + (extra,))), tuple(sorted(remaining))
+        )
     return total
+
+
+def _subset_splits(
+    items: Sequence[int],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every split of ``items`` by position into ``(chosen, rest)``, both in
+    the order of ``items``: chosen subsets by increasing size, each size in
+    lexicographic order of positions."""
+    indices = range(len(items))
+    for size in range(len(items) + 1):
+        for subset in itertools.combinations(indices, size):
+            yield (
+                tuple(items[i] for i in subset),
+                tuple(items[i] for i in indices if i not in subset),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -355,36 +361,24 @@ class TautClass:
         else:
             self.terms[key] = new
 
-    def copy(self) -> "TautClass":
-        out = TautClass(self.g, self.n)
-        out.terms = dict(self.terms)
-        return out
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "TautClass") -> "TautClass":
         self._check_ambient(other)
-        out = self.copy()
+        out = TautClass(self.g, self.n)
+        out.terms = dict(self.terms)
         for stratum, coeff in other.terms.items():
             out._accumulate(stratum, coeff)
         return out
 
     def __neg__(self) -> "TautClass":
-        out = TautClass(self.g, self.n)
-        for stratum, coeff in self.terms.items():
-            out.terms[stratum] = -coeff
-        return out
+        return self.map_coefficients(lambda c: -c)
 
     def __sub__(self, other: "TautClass") -> "TautClass":
         return self + (-other)
 
     def scale(self, factor) -> "TautClass":
-        out = TautClass(self.g, self.n)
-        for stratum, coeff in self.terms.items():
-            new = coeff * factor
-            if new:
-                out.terms[stratum] = new
-        return out
+        return self.map_coefficients(lambda c: c * factor)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TautClass):
@@ -637,7 +631,6 @@ class _ContractionStructure:
     vertex_map: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def _contraction_structures(
     ambient: StableGraph, factor: StableGraph
 ) -> tuple[_ContractionStructure, ...]:
@@ -662,6 +655,20 @@ def _contraction_structures(
 
 
 @lru_cache(maxsize=None)
+def _structures_onto(
+    factor: StableGraph,
+) -> dict[StableGraph, tuple[_ContractionStructure, ...]]:
+    """Every census graph carrying a contraction structure onto ``factor``,
+    mapped to those structures, in census order (so by edge count)."""
+    out = {}
+    for ambient in _all_graphs(factor.genus, factor.n_markings):
+        structures = _contraction_structures(ambient, factor)
+        if structures:
+            out[ambient] = structures
+    return out
+
+
+@lru_cache(maxsize=None)
 def _all_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
     return tuple(enumerate_stable_graphs(g, n))
 
@@ -679,7 +686,6 @@ def _multiply_boundary_terms(
     automorphism counts (the ambient normalisation is the stored-term
     convention).
     """
-    g, n = out.g, out.n
     if out.dimension > PRODUCT_DIMENSION_BOUND:
         raise ProductCapabilityError(
             "products of two boundary terms are supported only for ambient "
@@ -687,27 +693,21 @@ def _multiply_boundary_terms(
         )
     norm = aut_normalization(s1.graph) * aut_normalization(s2.graph)
     max_edges = s1.graph.n_edges + s2.graph.n_edges
-    for ambient in _all_graphs(g, n):
-        if ambient.n_edges > max_edges or ambient.n_edges < max(
-            s1.graph.n_edges, s2.graph.n_edges
-        ):
+    onto2 = _structures_onto(s2.graph)
+    for ambient, structures1 in _structures_onto(s1.graph).items():
+        if ambient.n_edges > max_edges:
+            break
+        structures2 = onto2.get(ambient)
+        if structures2 is None:
             continue
-        structures1 = _contraction_structures(ambient, s1.graph)
-        if not structures1:
-            continue
-        structures2 = _contraction_structures(ambient, s2.graph)
-        if not structures2:
-            continue
+        everything = frozenset(range(ambient.n_edges))
         for st1 in structures1:
             for st2 in structures2:
                 if st1.contracted & st2.contracted:
                     continue
                 # Each factor's surviving edges are everything it did not
-                # contract, so disjoint contracted sets mean the two factors
-                # jointly account for every ambient edge.
-                used1 = {orig for orig, _fl in st1.edge_map}
-                used2 = {orig for orig, _fl in st2.edge_map}
-                shared_edges = used1 & used2
+                # contract, so the edges both factors keep are the shared ones.
+                shared_edges = everything - st1.contracted - st2.contracted
                 _accumulate_structure_pair(
                     out, ambient, s1, st1, s2, st2, shared_edges, c1 * c2 * norm
                 )
@@ -720,7 +720,7 @@ def _accumulate_structure_pair(
     st1: _ContractionStructure,
     s2: DecoratedStratum,
     st2: _ContractionStructure,
-    shared_edges: set[int],
+    shared_edges: frozenset[int],
     base_coeff,
 ) -> None:
     leg_psi = tuple(a + b for a, b in zip(s1.leg_psi, s2.leg_psi))
@@ -788,23 +788,14 @@ def forgetful_pullback(cls: TautClass) -> TautClass:
 def _pullback_trivial_term(out: TautClass, stratum: DecoratedStratum, coeff) -> None:
     g, n = stratum.graph.genus, stratum.graph.n_markings
     kappas = stratum.kappa[0]
-    #
-
     # Main piece: psi_i -> psi_i, kappa_a -> kappa_a - psi_new^a.
-    indices = list(range(len(kappas)))
-    for size in range(len(kappas) + 1):
-        for subset in itertools.combinations(indices, size):
-            chosen = set(subset)
-            extra = sum(kappas[i] for i in chosen)
-            remaining = tuple(kappas[i] for i in indices if i not in chosen)
-            sign = -1 if size % 2 else 1
-            leg_psi = stratum.leg_psi + (extra,)
-            out._accumulate(
-                DecoratedStratum(
-                    trivial_graph(g, n + 1), leg_psi, (), (remaining,)
-                ),
-                coeff * sign,
-            )
+    for chosen, remaining in _subset_splits(kappas):
+        sign = -1 if len(chosen) % 2 else 1
+        leg_psi = stratum.leg_psi + (sum(chosen),)
+        out._accumulate(
+            DecoratedStratum(trivial_graph(g, n + 1), leg_psi, (), (remaining,)),
+            coeff * sign,
+        )
     # Correction pieces: one for each marking with a positive psi power.
     # (psi_i - D)^k contributes -push(psi^(k-1)) on the boundary divisor
     # where markings i and new bubble off; all other decorations restrict

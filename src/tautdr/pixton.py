@@ -326,8 +326,21 @@ def vanishing_check(
         verdict = "incomplete"
     else:
         verdict = "pairing-null"
-    integral = const.integrate() if d == dim else None
-    report = {
+    report = _dr_report(g, A, d, rp, const, pairings, verdict)
+    if verdict == "incomplete":
+        report["skipped"] = (
+            f"boundary generators of degree {c}: dimension {dim} exceeds "
+            f"PRODUCT_DIMENSION_BOUND = {PRODUCT_DIMENSION_BOUND}"
+        )
+    return report
+
+
+def _dr_report(g, A, d, rp, const, pairings=(), verdict="not-applicable") -> dict:
+    """The report of one ``dr`` problem: the polynomial class ``rp``, its
+    constant term ``const`` (with its integral in top degree), the
+    ``(label, value)`` pairings and the verdict."""
+    integral = const.integrate() if d == 3 * g - 3 + len(A) else None
+    return {
         "problem": {"g": g, "A": list(A), "d": d},
         "samples": list(rp.samples),
         "class": rp.taut.to_json_obj(),
@@ -336,9 +349,3 @@ def vanishing_check(
         "pairings": [[label, str(value)] for label, value in pairings],
         "verdict": verdict,
     }
-    if verdict == "incomplete":
-        report["skipped"] = (
-            f"boundary generators of degree {c}: dimension {dim} exceeds "
-            f"PRODUCT_DIMENSION_BOUND = {PRODUCT_DIMENSION_BOUND}"
-        )
-    return report

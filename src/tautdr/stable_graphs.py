@@ -45,7 +45,6 @@ isomorphism class.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -301,27 +300,6 @@ class StableGraph:
             "involution_pairs": pairs,
             "legs": list(range(1, n + 1)),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "StableGraph":
-        genera_by_id = {int(v["id"]): int(v["genus"]) for v in obj["vertices"]}
-        ids = sorted(genera_by_id)
-        reindex = {vid: i for i, vid in enumerate(ids)}
-        genera = tuple(genera_by_id[vid] for vid in ids)
-        vertex_of = {int(h): int(v) for h, v in obj["vertex_of"].items()}
-        legs = tuple(reindex[vertex_of[int(h)]] for h in obj["legs"])
-        edges = tuple(
-            (reindex[vertex_of[int(a)]], reindex[vertex_of[int(b)]])
-            for a, b in obj["involution_pairs"]
-        )
-        return StableGraph(genera, legs, edges)
-
-    @staticmethod
-    def from_json(text: str) -> "StableGraph":
-        return StableGraph.from_json_obj(json.loads(text))
 
 
 def trivial_graph(g: int, n: int) -> StableGraph:
@@ -605,50 +583,29 @@ def edge_weight_forms(
     if len(leg_values) != graph.n_markings:
         raise ValueError("one leg value per marking is required")
     k = graph.n_vertices
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(k)}
-    for idx, (u, v) in enumerate(graph.edges):
-        if u != v:
-            adj[u].append((v, idx))
-            adj[v].append((u, idx))
-    tree_edges: list[int] = []
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for w, idx in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                tree_edges.append(idx)
-                frontier.append(w)
-    tree_set = set(tree_edges)
-    free_edges = [e for e in range(graph.n_edges) if e not in tree_set]
+    edges = graph.edges
+    # An edge joining two components of the edges before it is a tree edge.
+    tree_edges = []
+    for e, (u, v) in enumerate(edges):
+        root_of = _union_roots(k, edges[:e])
+        if root_of[u] != root_of[v]:
+            tree_edges.append(e)
+    free_edges = [e for e in range(graph.n_edges) if e not in tree_edges]
 
-    # Component of the first endpoint after deleting a tree edge from the tree.
-    forms: list[tuple[int, dict[int, int]]] = [(0, {}) for _ in range(graph.n_edges)]
-    for f in free_edges:
-        forms[f] = (0, {f: 1})
-    tree_adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(k)}
-    for idx in tree_edges:
-        u, v = graph.edges[idx]
-        tree_adj[u].append((v, idx))
-        tree_adj[v].append((u, idx))
+    # Deleting tree edge e splits the tree; ``side`` is the part holding the
+    # first endpoint of e.
+    forms: list[tuple[int, dict[int, int]]] = [
+        (0, {f: 1}) for f in range(graph.n_edges)
+    ]
     for e in tree_edges:
-        u0, _v0 = graph.edges[e]
-        side = {u0}
-        stack = [u0]
-        while stack:
-            a = stack.pop()
-            for b, idx in tree_adj[a]:
-                if idx == e or b in side:
-                    continue
-                side.add(b)
-                stack.append(b)
+        root_of = _union_roots(k, [edges[t] for t in tree_edges if t != e])
+        side = {v for v in range(k) if root_of[v] == root_of[edges[e][0]]}
         const = -sum(
             int(leg_values[i]) for i, v in enumerate(graph.legs) if v in side
         )
         coeffs: dict[int, int] = {}
         for f in free_edges:
-            p, q = graph.edges[f]
+            p, q = edges[f]
             if p == q:
                 continue
             if p in side and q not in side:

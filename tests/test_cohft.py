@@ -153,6 +153,12 @@ def test_loop_partial_sums_grow_in_report():
     assert diffs == {2}
 
 
+def test_loop_demo_is_the_report_partial_sum():
+    sums = cohft_axiom_predicates(RelativePointFamily())["loop"]["partial_sums"]
+    for k in range(1, 5):
+        assert loop_axiom_demo(k)["partial_rhs"] == sums[k]
+
+
 def test_constant_family_satisfies_all_axioms():
     report = cohft_axiom_predicates(ConstantFamily())
     assert report["axioms_hold"]["symmetry"] is True

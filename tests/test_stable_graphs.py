@@ -16,7 +16,7 @@ from tautdr import (
     enumerate_weightings,
     trivial_graph,
 )
-from tautdr.stable_graphs import _compositions
+from tautdr.stable_graphs import _compositions, edge_weight_forms
 from tautdr.weightsums import weighting_power_sums
 
 from oracles import (
@@ -233,6 +233,39 @@ def test_weightings_satisfy_local_conditions():
             assert (w[h1_id] + w[h2_id]) % r == 0
         seen.add(tuple(sorted(w.items())))
     assert len(seen) == r  # h1 = 1, all distinct
+
+
+# leg values that sum to 0 mod 11 but not to 0, one vector per census
+BALANCE_LEG_VALUES = {
+    (0, 5): (1, 2, 3, 4, 12),
+    (1, 3): (4, 9, 9),
+    (2, 2): (5, 17),
+    (3, 1): (22,),
+}
+
+
+@pytest.mark.parametrize("g,n", sorted(BALANCE_LEG_VALUES))
+def test_edge_weight_forms_balance_every_vertex(g, n):
+    r = 11
+    leg_values = BALANCE_LEG_VALUES[(g, n)]
+    for gr in enumerate_stable_graphs(g, n):
+        forms, free_edges = edge_weight_forms(gr, leg_values)
+        assert len(free_edges) == gr.h1
+        for f in free_edges:
+            assert forms[f] == (0, {f: 1})
+        for _const, coeffs in forms:
+            assert set(coeffs) <= set(free_edges)
+            assert set(coeffs.values()) <= {-1, 1}
+        for seed in range(4):
+            x = {f: (seed * 7 * (f + 1) + seed) % r for f in free_edges}
+            at_vertex = [0] * gr.n_vertices
+            for i, v in enumerate(gr.legs):
+                at_vertex[v] += leg_values[i]
+            for (u, v), (const, coeffs) in zip(gr.edges, forms):
+                w = const + sum(m * x[f] for f, m in coeffs.items())
+                at_vertex[u] += w
+                at_vertex[v] -= w
+            assert all(total % r == 0 for total in at_vertex)
 
 
 @pytest.mark.parametrize(
