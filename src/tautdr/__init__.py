@@ -12,7 +12,6 @@ from .stable_graphs import (
     StableGraph,
     automorphism_count,
     enumerate_stable_graphs,
-    enumerate_weightings,
     trivial_graph,
 )
 from .intersection import (

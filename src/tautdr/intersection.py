@@ -25,7 +25,8 @@ Conventions
 
 Integrals of psi monomials are computed by the string and dilaton
 equations together with the genus-reducing recursion for a largest index,
-seeded by the two one-dimensional moduli; values are memoised in-process.
+seeded by the values on M_{0,3} and M_{1,1} (in genus 0 the string equation
+alone reaches every value); values are memoised in-process.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .qpoly import QPoly
@@ -128,12 +129,6 @@ def _psi_compute(g: int, ds: tuple[int, ...]) -> Fraction:
         return Fraction(1)
     if (g, n) == (1, 1):
         return Fraction(1, 24)
-    if g == 0:
-        # closed form: (n-3)! / prod d_i!
-        value = Fraction(factorial(n - 3))
-        for d in ds:
-            value /= factorial(d)
-        return value
     if 0 in ds:
         # string equation
         rest = list(ds)

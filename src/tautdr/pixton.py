@@ -80,6 +80,8 @@ def _validate_problem(g: int, A: Sequence[int], d: int) -> None:
     n = len(A)
     if g < 0 or d < 0:
         raise ValueError("genus and degree must be nonnegative")
+    if any(int(a) != a for a in A):
+        raise ValueError("the ramification vector must have integer entries")
     if sum(A) != 0:
         raise ValueError("the ramification vector must sum to zero")
     if 2 * g - 2 + n <= 0:
@@ -92,37 +94,30 @@ def admissible_r_bound(A: Sequence[int], d: int) -> int:
     return d * max(1, max_abs) + sum(abs(a) for a in A) + 2
 
 
-@dataclass(frozen=True)
-class _Template:
-    """Structural data of the class, independent of the modulus r.
-
-    ``blocks`` maps (graph index, exponent profile) to a list of
-    (canonical stratum, structural coefficient); the r-dependent factor for
-    a block is r^(-h1) times the weighting power sum of the profile.
-    """
-
-    g: int
-    A: tuple[int, ...]
-    d: int
-    graphs: tuple[StableGraph, ...]
-    blocks: dict[tuple[int, tuple[int, ...]], list[tuple[DecoratedStratum, Fraction]]]
+_Blocks = dict[
+    tuple[StableGraph, tuple[int, ...]], list[tuple[DecoratedStratum, Fraction]]
+]
 
 
 @lru_cache(maxsize=None)
-def _build_template(g: int, A: tuple[int, ...], d: int) -> _Template:
+def _build_template(g: int, A: tuple[int, ...], d: int) -> _Blocks:
+    """Structural data of the class, independent of the modulus r.
+
+    Maps each weighting block (graph, edge exponent profile) to a list of
+    (canonical stratum, structural coefficient); the r-dependent factor of
+    a block is r^(-h1) times the weighting power sum of the profile.  The
+    blocks of one graph are consecutive, graphs in census order.
+    """
     n = len(A)
-    graphs = _all_graphs(g, n)
-    blocks: dict[tuple[int, tuple[int, ...]], list[tuple[DecoratedStratum, Fraction]]] = {}
+    blocks: _Blocks = {}
     support = [i for i, a in enumerate(A) if a != 0]
-    for gi, graph in enumerate(graphs):
+    for graph in _all_graphs(g, n):
         n_edges = graph.n_edges
-        if n_edges > d:
-            continue
-        # psi exponents on the legs with a_i != 0, summing to at most the
-        # budget: the last part of each composition is the unused slack
-        for parts in _compositions(d - n_edges, len(support) + 1):
+        # psi exponents on the legs with a_i != 0; the last part of each
+        # composition is what is left for the edges
+        for *parts, rest in _compositions(d - n_edges, len(support) + 1):
             leg_vec = [0] * n
-            for i, k in zip(support, parts[:-1]):
+            for i, k in zip(support, parts):
                 leg_vec[i] = k
             leg_vec = tuple(leg_vec)
             leg_coeff = Fraction(1)
@@ -130,13 +125,13 @@ def _build_template(g: int, A: tuple[int, ...], d: int) -> _Template:
                 if k:
                     leg_coeff *= Fraction(A[i] ** (2 * k), 2**k * factorial(k))
             # positive edge exponents summing to the rest of the degree
-            for shifted in _compositions(d - sum(leg_vec) - n_edges, n_edges):
+            for shifted in _compositions(rest, n_edges):
                 profile = tuple(j + 1 for j in shifted)
                 edge_coeff = Fraction(1)
                 for j in profile:
                     sign = 1 if (j + 1) % 2 == 0 else -1
                     edge_coeff *= Fraction(sign, 2**j * factorial(j))
-                block = blocks.setdefault((gi, profile), [])
+                block = blocks.setdefault((graph, profile), [])
                 # each edge's power j split into side exponents a + b = j - 1
                 for splits in itertools.product(
                     *(_compositions(j - 1, 2) for j in profile)
@@ -150,7 +145,7 @@ def _build_template(g: int, A: tuple[int, ...], d: int) -> _Template:
                     block.append(
                         (stratum, leg_coeff * edge_coeff * split_coeff)
                     )
-    return _Template(g, A, d, graphs, blocks)
+    return blocks
 
 
 def pixton_class(g: int, A: Sequence[int], d: int, r: int) -> TautClass:
@@ -166,39 +161,41 @@ def pixton_class(g: int, A: Sequence[int], d: int, r: int) -> TautClass:
         raise ValueError(
             f"modulus {r} is not admissible for this problem (needs r > {bound})"
         )
-    return _evaluate_template(_build_template(g, A, d), r)
+    return _evaluate_template(g, A, _build_template(g, A, d), r)
 
 
 def _block_factors(
-    template: _Template, moduli: Sequence[int]
-) -> dict[tuple[int, tuple[int, ...]], tuple[Fraction, ...]]:
-    """The factor r^(-h1) T(profile) of every block at each modulus.
+    template: _Blocks, A: tuple[int, ...], moduli: Sequence[int]
+) -> list[tuple[Fraction, ...]]:
+    """The factor r^(-h1) T(profile) of every block at each modulus, in the
+    order of ``template``.
 
     The weighting sums of one graph are taken in one call for all moduli,
     so the r-independent edge forms are computed once per graph.
     """
-    by_graph: dict[int, list[tuple[int, ...]]] = {}
-    for gi, profile in template.blocks:
-        by_graph.setdefault(gi, []).append(profile)
-    factors: dict[tuple[int, tuple[int, ...]], tuple[Fraction, ...]] = {}
-    for gi, profiles in by_graph.items():
-        graph = template.graphs[gi]
-        sums = weighting_power_sums(graph, template.A, moduli, profiles)
+    factors: list[tuple[Fraction, ...]] = []
+    for graph, blocks in itertools.groupby(template, key=lambda block: block[0]):
+        profiles = [profile for _graph, profile in blocks]
+        sums = weighting_power_sums(graph, A, moduli, profiles)
         weighting_counts = [r**graph.h1 for r in moduli]
         for profile in profiles:
-            factors[(gi, profile)] = tuple(
-                Fraction(total, count)
-                for total, count in zip(sums[profile], weighting_counts)
+            factors.append(
+                tuple(
+                    Fraction(total, count)
+                    for total, count in zip(sums[profile], weighting_counts)
+                )
             )
     return factors
 
 
-def _evaluate_template(template: _Template, r: int) -> TautClass:
-    out = TautClass(template.g, len(template.A))
-    for block, (factor,) in _block_factors(template, [r]).items():
+def _evaluate_template(
+    g: int, A: tuple[int, ...], template: _Blocks, r: int
+) -> TautClass:
+    out = TautClass(g, len(A))
+    for strata, (factor,) in zip(template.values(), _block_factors(template, A, [r])):
         if factor == 0:
             continue
-        for stratum, coeff in template.blocks[block]:
+        for stratum, coeff in strata:
             out._accumulate(stratum, coeff * factor)
     return out
 
@@ -252,11 +249,11 @@ def r_polynomial(
             )
         held_out = [samples[-1] + 1 + i for i in range(3)]
     template = _build_template(g, A, d)
-    factors = _block_factors(template, samples + held_out)
+    factors = _block_factors(template, A, samples + held_out)
     # Blocks with equal values share one interpolant and one check.
     interpolants: dict[tuple[Fraction, ...], QPoly] = {}
     taut = TautClass(g, len(A))
-    for block, values in factors.items():
+    for strata, values in zip(template.values(), factors):
         poly = interpolants.get(values)
         if poly is None:
             poly = newton_interpolate(list(zip(samples, values)))
@@ -272,7 +269,7 @@ def r_polynomial(
                     )
             interpolants[values] = poly
         if poly:
-            for stratum, coeff in template.blocks[block]:
+            for stratum, coeff in strata:
                 taut._accumulate(stratum, poly * coeff)
     return RPolynomialClass(taut, samples, held_out)
 

@@ -17,7 +17,7 @@ Representation
 * ``edges``    -- a sorted tuple of pairs ``(u, v)`` with ``u <= v``;
   a loop is ``(v, v)``; parallel edges appear with multiplicity.
 
-Half-edge ids (used by the JSON form and by weightings) are assigned
+Half-edge ids (used by the JSON form and by degenerations) are assigned
 deterministically: marking ``i`` has id ``i``; edge ``k`` (0-based) has
 ids ``n + 2k + 1`` (side of the first-listed endpoint) and ``n + 2k + 2``.
 
@@ -54,8 +54,6 @@ __all__ = [
     "trivial_graph",
     "enumerate_stable_graphs",
     "automorphism_count",
-    "enumerate_weightings",
-    "edge_weight_forms",
 ]
 
 
@@ -553,104 +551,3 @@ def automorphism_count(graph: StableGraph) -> int:
     of the graph to itself.
     """
     return len(_graph_isomorphisms(graph, graph))
-
-
-# ---------------------------------------------------------------------------
-# Weightings mod r
-# ---------------------------------------------------------------------------
-
-
-def edge_weight_forms(
-    graph: StableGraph, leg_values: Sequence[int]
-) -> tuple[list[tuple[int, dict[int, int]]], list[int]]:
-    """Affine forms for edge weights in terms of free edge variables.
-
-    A weighting assigns to each half-edge a residue mod r such that legs
-    carry the prescribed values, the two halves of an edge sum to zero and
-    the half-edges at each vertex sum to zero.  Writing ``w_e`` for the
-    weight of the first-listed side of edge ``e``, the general solution is
-
-        w_e = c_e + sum_f m_{ef} * x_f       (mod r)
-
-    with one free variable ``x_f`` per edge outside a spanning tree (loops
-    are always free) and coefficients ``m_{ef}`` in {-1, 0, +1}.
-
-    Returns ``(forms, free_edges)`` where ``forms[e] = (c_e, {f: m_ef})``
-    indexed by edge, and ``free_edges`` lists the free edge indices (each
-    with form ``(0, {f: 1})``).  Solvability additionally requires
-    ``sum(leg_values) == 0 (mod r)``, which the caller checks.
-    """
-    if len(leg_values) != graph.n_markings:
-        raise ValueError("one leg value per marking is required")
-    k = graph.n_vertices
-    edges = graph.edges
-    # An edge joining two components of the edges before it is a tree edge.
-    tree_edges = []
-    for e, (u, v) in enumerate(edges):
-        root_of = _union_roots(k, edges[:e])
-        if root_of[u] != root_of[v]:
-            tree_edges.append(e)
-    free_edges = [e for e in range(graph.n_edges) if e not in tree_edges]
-
-    # Deleting tree edge e splits the tree; ``side`` is the part holding the
-    # first endpoint of e.
-    forms: list[tuple[int, dict[int, int]]] = [
-        (0, {f: 1}) for f in range(graph.n_edges)
-    ]
-    for e in tree_edges:
-        root_of = _union_roots(k, [edges[t] for t in tree_edges if t != e])
-        side = {v for v in range(k) if root_of[v] == root_of[edges[e][0]]}
-        const = -sum(
-            int(leg_values[i]) for i, v in enumerate(graph.legs) if v in side
-        )
-        coeffs: dict[int, int] = {}
-        for f in free_edges:
-            p, q = edges[f]
-            if p == q:
-                continue
-            if p in side and q not in side:
-                coeffs[f] = -1
-            elif q in side and p not in side:
-                coeffs[f] = 1
-        forms[e] = (const, coeffs)
-    return forms, free_edges
-
-
-def enumerate_weightings(
-    graph: StableGraph,
-    r: int,
-    leg_values: Sequence[int],
-    *,
-    max_count: int = 10**6,
-) -> list[dict[int, int]]:
-    """All weightings mod r, as maps from half-edge id to residue.
-
-    Legs carry ``leg_values[i] mod r``; the two half-edges of every edge sum
-    to 0 mod r; the half-edges at every vertex sum to 0 mod r.  There are
-    exactly ``r**h1`` weightings when ``sum(leg_values) == 0 (mod r)`` and
-    none otherwise.
-    """
-    if r < 1:
-        raise ValueError("modulus must be positive")
-    forms, free_edges = edge_weight_forms(graph, leg_values)
-    if sum(leg_values) % r != 0:
-        return []
-    if r ** len(free_edges) > max_count:
-        raise ComplexityBoundError(
-            f"{r}**{len(free_edges)} weightings exceed the bound {max_count}"
-        )
-    out: list[dict[int, int]] = []
-    n = graph.n_markings
-    for assignment in itertools.product(range(r), repeat=len(free_edges)):
-        x = dict(zip(free_edges, assignment))
-        weighting: dict[int, int] = {}
-        for i in range(n):
-            weighting[i + 1] = int(leg_values[i]) % r
-        for e in range(graph.n_edges):
-            const, coeffs = forms[e]
-            w = (const + sum(m * x[f] for f, m in coeffs.items())) % r
-            h1_id, h2_id = graph.edge_half_ids(e)
-            weighting[h1_id] = w
-            weighting[h2_id] = (-w) % r
-        out.append(weighting)
-    return out

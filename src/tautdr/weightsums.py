@@ -3,8 +3,8 @@
 For a stable graph with prescribed leg values, the weightings mod r form a
 coset of size r**h1 parametrised by one free residue per edge outside a
 spanning tree.  Each edge weight is an affine form in those variables with
-coefficients in {-1, 0, +1} (see ``edge_weight_forms``).  This module
-computes, for a family of exponent profiles j, the exact sums
+coefficients in {-1, 0, +1}, found by ``edge_weight_forms``.  From them the
+module computes, for a family of exponent profiles j, the exact sums
 
     T(j) = sum over all weightings of prod_e [ y_e * (r - y_e) ]**j_e
 
@@ -27,9 +27,65 @@ from fractions import Fraction
 from typing import Sequence
 
 from .qpoly import QPoly
-from .stable_graphs import StableGraph, _union_roots, edge_weight_forms
+from .stable_graphs import StableGraph, _union_roots
 
-__all__ = ["weighting_power_sums"]
+__all__ = ["edge_weight_forms", "weighting_power_sums"]
+
+
+def edge_weight_forms(
+    graph: StableGraph, leg_values: Sequence[int]
+) -> tuple[list[tuple[int, dict[int, int]]], list[int]]:
+    """Affine forms for edge weights in terms of free edge variables.
+
+    A weighting assigns to each half-edge a residue mod r such that legs
+    carry the prescribed values, the two halves of an edge sum to zero and
+    the half-edges at each vertex sum to zero.  Writing ``w_e`` for the
+    weight of the first-listed side of edge ``e``, the general solution is
+
+        w_e = c_e + sum_f m_{ef} * x_f       (mod r)
+
+    with one free variable ``x_f`` per edge outside a spanning tree (loops
+    are always free) and coefficients ``m_{ef}`` in {-1, 0, +1}.
+
+    Returns ``(forms, free_edges)`` where ``forms[e] = (c_e, {f: m_ef})``
+    indexed by edge, and ``free_edges`` lists the free edge indices (each
+    with form ``(0, {f: 1})``).  Solvability additionally requires
+    ``sum(leg_values) == 0 (mod r)``, which the caller checks.
+    """
+    if len(leg_values) != graph.n_markings:
+        raise ValueError("one leg value per marking is required")
+    k = graph.n_vertices
+    edges = graph.edges
+    # An edge joining two components of the edges before it is a tree edge.
+    tree_edges = []
+    for e, (u, v) in enumerate(edges):
+        root_of = _union_roots(k, edges[:e])
+        if root_of[u] != root_of[v]:
+            tree_edges.append(e)
+    free_edges = [e for e in range(graph.n_edges) if e not in tree_edges]
+
+    # Deleting tree edge e splits the tree; ``side`` is the part holding the
+    # first endpoint of e.
+    forms: list[tuple[int, dict[int, int]]] = [
+        (0, {f: 1}) for f in range(graph.n_edges)
+    ]
+    for e in tree_edges:
+        root_of = _union_roots(k, [edges[t] for t in tree_edges if t != e])
+        side = {v for v in range(k) if root_of[v] == root_of[edges[e][0]]}
+        const = -sum(
+            int(leg_values[i]) for i, v in enumerate(graph.legs) if v in side
+        )
+        coeffs: dict[int, int] = {}
+        for f in free_edges:
+            p, q = edges[f]
+            if p == q:
+                continue
+            if p in side and q not in side:
+                coeffs[f] = -1
+            elif q in side and p not in side:
+                coeffs[f] = 1
+        forms[e] = (const, coeffs)
+    return forms, free_edges
 
 
 def weighting_power_sums(
@@ -52,6 +108,8 @@ def weighting_power_sums(
     for profile in profiles:
         if len(profile) != graph.n_edges:
             raise ValueError("profile length must match the edge count")
+        if any(j < 0 for j in profile):
+            raise ValueError("profile exponents must be nonnegative")
     forms, free_edges = edge_weight_forms(graph, leg_values)
 
     # Group free variables into components linked by shared edges.

@@ -109,7 +109,8 @@ def test_02_psi_integrals(check):
         assert psi_integral(0, (0, 0, 0)) == 1
         assert psi_integral(1, (1,)) == Fraction(1, 24)
 
-        # Closed form in genus 0 for every exponent vector with n <= 8.
+        # The recursion (string equation down to M_{0,3}) against the
+        # genus-0 closed form, for every exponent vector with n <= 8.
         for n in range(3, 9):
             for exps in itertools.product(range(n - 2), repeat=n):
                 if sum(exps) != n - 3:

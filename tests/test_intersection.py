@@ -50,6 +50,7 @@ def test_point_class_and_elliptic_tail():
 
 
 def test_genus0_closed_form_up_to_eight_markings():
+    # the library reaches genus 0 by the string equation alone
     for n in range(3, 9):
         for exps in _exponent_tuples(n, n - 3):
             assert psi_integral(0, exps) == psi_integral_genus0(exps), exps

@@ -178,6 +178,20 @@ def test_problem_validation():
         r_polynomial(1, (0,), -1)
 
 
+@pytest.mark.parametrize("A", [(Fraction(1, 2), Fraction(-1, 2)), (1.7, -1.7)])
+def test_problem_validation_rejects_non_integral_weights(A):
+    # truncating to integers would compute the class of another vector
+    bound = admissible_r_bound((1, -1), 1)
+    with pytest.raises(ValueError, match="integer entries"):
+        pixton_class(1, A, 1, bound + 1)
+    with pytest.raises(ValueError, match="integer entries"):
+        r_polynomial(1, A, 1)
+    with pytest.raises(ValueError, match="integer entries"):
+        vanishing_check(1, A, 2)
+    # integral values of another numeric type are still accepted
+    assert pixton_class(1, (Fraction(1), -1.0), 1, bound + 1) is not None
+
+
 def test_constant_term_evaluates_at_zero():
     rp = r_polynomial(1, (0,), 1)
     const = constant_term(rp)

@@ -13,11 +13,10 @@ from tautdr import (
     StableGraph,
     automorphism_count,
     enumerate_stable_graphs,
-    enumerate_weightings,
     trivial_graph,
 )
-from tautdr.stable_graphs import _compositions, edge_weight_forms
-from tautdr.weightsums import weighting_power_sums
+from tautdr.stable_graphs import _compositions
+from tautdr.weightsums import edge_weight_forms, weighting_power_sums
 
 from oracles import (
     brute_graph_automorphisms,
@@ -194,17 +193,18 @@ def test_census_graphs_have_right_genus(g, n):
 
 
 def test_weighting_count_is_r_to_h1():
+    # with every exponent 0 each weighting contributes 1, so T counts them
+    moduli = (2, 3, 5, 7)
     for g, n, legs in [(1, 1, (0,)), (1, 2, (4, -4)), (2, 0, ())]:
         for gr in enumerate_stable_graphs(g, n):
             h1 = len(gr.edges) - len(gr.genera) + 1
-            for r in (2, 3, 5, 7):
-                ws = enumerate_weightings(gr, r, legs)
-                assert len(ws) == r**h1
+            zero = (0,) * gr.n_edges
+            sums = weighting_power_sums(gr, legs, moduli, [zero])
+            assert sums[zero] == [r**h1 for r in moduli]
 
 
 def test_weightings_empty_when_legs_do_not_balance():
     gr = trivial_graph(1, 2)
-    assert enumerate_weightings(gr, 5, (1, 1)) == []
     assert weighting_power_sums(gr, (1, 1), [5], [()])[()] == [0]
     # the balance is decided modulus by modulus: 1 + 1 = 0 mod 2
     assert weighting_power_sums(gr, (1, 1), [2, 5, 4], [()])[()] == [1, 0, 0]
@@ -216,23 +216,24 @@ def test_weightings_reject_wrong_number_of_leg_values():
     gr = trivial_graph(1, 2)
     for legs in [(1,), (5,), (1, -1, 0)]:
         with pytest.raises(ValueError):
-            enumerate_weightings(gr, 5, legs)
-        with pytest.raises(ValueError):
             weighting_power_sums(gr, legs, [5], [()])
 
 
-def test_weightings_satisfy_local_conditions():
-    gr = StableGraph((0, 1), (0, 0), ((0, 1), (0, 1)))
-    r = 7
-    legs = (2, -2)
-    seen = set()
-    for w in enumerate_weightings(gr, r, legs):
-        assert w[1] == 2 and w[2] == (-2) % r
-        for e in range(len(gr.edges)):
-            h1_id, h2_id = gr.edge_half_ids(e)
-            assert (w[h1_id] + w[h2_id]) % r == 0
-        seen.add(tuple(sorted(w.items())))
-    assert len(seen) == r  # h1 = 1, all distinct
+@pytest.mark.parametrize(
+    "genera,legs_at,edges,leg_values",
+    [
+        ((1, 1), (0, 1), ((0, 1),), (2, -2)),  # bridge, residue 2
+        ((1, 1), (0, 1), ((0, 1),), (0, 0)),  # bridge, residue 0
+        ((0,), (0,), ((0, 0),), (0,)),  # cycle edge
+    ],
+)
+def test_weighting_power_sums_reject_negative_exponents(
+    genera, legs_at, edges, leg_values
+):
+    # a negative exponent would make T a non-integer or undefined
+    gr = StableGraph(genera, legs_at, edges)
+    with pytest.raises(ValueError, match="profile exponents"):
+        weighting_power_sums(gr, leg_values, [5], [(-1,)])
 
 
 # leg values that sum to 0 mod 11 but not to 0, one vector per census
