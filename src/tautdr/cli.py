@@ -21,7 +21,7 @@ from typing import NoReturn
 import click
 
 from .stable_graphs import enumerate_stable_graphs, automorphism_count
-from .intersection import ProductCapabilityError, PullbackUnavailableError
+from .intersection import ProductCapabilityError
 from .pixton import (
     _dr_report,
     r_polynomial,
@@ -204,7 +204,7 @@ def cmd_dr(genus, a_text, degree, r_samples_text, fmt, out):
             report = _dr_report(genus, a_vector, degree, rp, constant_term(rp))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    except (ProductCapabilityError, PullbackUnavailableError) as exc:
+    except ProductCapabilityError as exc:
         _fail(exc, 3)
     except (HeldOutMismatchError, PolynomialityError) as exc:
         _fail(exc, 4)

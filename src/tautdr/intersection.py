@@ -35,8 +35,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .qpoly import QPoly
 from .stable_graphs import (
@@ -60,7 +59,6 @@ __all__ = [
     "kappa_class",
     "stratum_class",
     "ProductCapabilityError",
-    "PullbackUnavailableError",
     "forgetful_pullback",
     "generators_of_degree",
     "PRODUCT_DIMENSION_BOUND",
@@ -69,10 +67,6 @@ __all__ = [
 
 class ProductCapabilityError(NotImplementedError):
     """Raised when a product of boundary terms exceeds the supported range."""
-
-
-class PullbackUnavailableError(NotImplementedError):
-    """Raised when a forgetful pullback of a decorated boundary term is requested."""
 
 
 # ---------------------------------------------------------------------------
@@ -751,89 +745,79 @@ def _accumulate_structure_pair(
 
 
 # ---------------------------------------------------------------------------
-# Forgetful pullback (limited scope)
+# Forgetful pullback
 # ---------------------------------------------------------------------------
 
 
 def forgetful_pullback(cls: TautClass) -> TautClass:
     """Pull back along the map forgetting a new last marking.
 
-    Supported terms: monomials in psi and kappa on the trivial graph, and
-    undecorated boundary strata.  Decorated boundary terms raise
-    :class:`PullbackUnavailableError`.
+    Over the stratum of a graph the map forgets the new marking at one
+    vertex ``v``, summed over every vertex.  At ``v``,
+    ``pi^* kappa_a = kappa_a - psi_new^a``, and a half-edge ``h`` with
+    ``psi_h^k``, ``k > 0``, also gives ``-D_h psi'^(k-1)``: ``D_h`` is the
+    genus-0 bubble holding ``h`` and the new marking, which on an edge side
+    is a vertex inserted into the edge; every other decoration restricts to
+    ``v``.  A piece on graph G' pushes forward from the same product of
+    vertex spaces as the term on G, so it is stored with coefficient
+    ``c * #Aut(G') / #Aut(G)``.
     """
-    g, n = cls.g, cls.n
-    out = TautClass(g, n + 1)
+    out = TautClass(cls.g, cls.n + 1)
     for stratum, coeff in cls.terms.items():
-        if stratum.graph.is_trivial():
-            _pullback_trivial_term(out, stratum, coeff)
-        elif (
-            not any(stratum.leg_psi)
-            and not any(p or q for p, q in stratum.edge_psi)
-            and not any(stratum.kappa)
-        ):
-            _pullback_plain_stratum(out, stratum, coeff)
-        else:
-            raise PullbackUnavailableError(
-                "pullback of a decorated boundary term is not implemented"
-            )
+        graph, legs, leg_psi = stratum.graph, stratum.graph.legs, stratum.leg_psi
+        genera, kappa = graph.genera, stratum.kappa
+        records = tuple(
+            (*ends, *psis) for ends, psis in zip(graph.edges, stratum.edge_psi)
+        )
+        bubble = graph.n_vertices
+        pieces = []
+        for v in range(graph.n_vertices):
+            for chosen, rest in _subset_splits(kappa[v]):
+                piece = _stratum(
+                    genera, legs + (v,), leg_psi + (sum(chosen),), records,
+                    _replace(kappa, v, rest),
+                )
+                pieces.append(((-1) ** len(chosen), piece))
+            # A correction moves h onto the bubble, with psi^0 there.
+            moves = [
+                (k, _replace(legs, i, bubble), _replace(leg_psi, i, 0), records)
+                for i, k in enumerate(leg_psi)
+                if k and legs[i] == v
+            ] + [
+                (k, legs, leg_psi, _replace(records, e, moved))
+                for e, (u, w, p, q) in enumerate(records)
+                for k, end, moved in (
+                    (p, u, (bubble, w, 0, q)),
+                    (q, w, (u, bubble, p, 0)),
+                )
+                if k and end == v
+            ]
+            for k, new_legs, new_leg_psi, new_records in moves:
+                piece = _stratum(
+                    genera + (0,), new_legs + (bubble,), new_leg_psi + (0,),
+                    new_records + ((v, bubble, k - 1, 0),), kappa + ((),),
+                )
+                pieces.append((-1, piece))
+        for sign, piece in pieces:
+            ratio = aut_normalization(graph) / aut_normalization(piece.graph)
+            out._accumulate(piece, coeff * (sign * ratio))
     return out
 
 
-def _pullback_trivial_term(out: TautClass, stratum: DecoratedStratum, coeff) -> None:
-    g, n = stratum.graph.genus, stratum.graph.n_markings
-    kappas = stratum.kappa[0]
-    # Main piece: psi_i -> psi_i, kappa_a -> kappa_a - psi_new^a.
-    for chosen, remaining in _subset_splits(kappas):
-        sign = -1 if len(chosen) % 2 else 1
-        leg_psi = stratum.leg_psi + (sum(chosen),)
-        out._accumulate(
-            DecoratedStratum(trivial_graph(g, n + 1), leg_psi, (), (remaining,)),
-            coeff * sign,
-        )
-    # Correction pieces: one for each marking with a positive psi power.
-    # (psi_i - D)^k contributes -push(psi^(k-1)) on the boundary divisor
-    # where markings i and new bubble off; all other decorations restrict
-    # to the main vertex, and kappa corrections die on the bubble.
-    for i, k in enumerate(stratum.leg_psi):
-        if k == 0:
-            continue
-        genera = (g, 0)
-        legs = tuple(0 if j != i else 1 for j in range(n)) + (1,)
-        graph = StableGraph(genera, legs, ((0, 1),))
-        leg_psi = tuple(
-            0 if j == i else stratum.leg_psi[j] for j in range(n)
-        ) + (0,)
-        out._accumulate(
-            DecoratedStratum(graph, leg_psi, ((k - 1, 0),), (kappas, ())),
-            -coeff,
-        )
+def _replace(items: tuple, i: int, value) -> tuple:
+    return items[:i] + (value,) + items[i + 1 :]
 
 
-def _pullback_plain_stratum(out: TautClass, stratum: DecoratedStratum, coeff) -> None:
-    graph = stratum.graph
-    vertex_maps = {pi for pi, _edge_map in _graph_isomorphisms(graph, graph)}
-    orbits: list[int] = []
-    seen: set[int] = set()
-    for v in range(graph.n_vertices):
-        if v in seen:
-            continue
-        orbit = {pi[v] for pi in vertex_maps}
-        seen |= orbit
-        orbits.append(v)
-    for v in orbits:
-        new_graph = StableGraph(
-            graph.genera, graph.legs + (v,), graph.edges
-        )
-        out._accumulate(
-            DecoratedStratum(
-                new_graph,
-                stratum.leg_psi + (0,),
-                stratum.edge_psi,
-                stratum.kappa,
-            ),
-            coeff,
-        )
+def _stratum(genera, legs, leg_psi, records, kappa) -> DecoratedStratum:
+    """The decorated stratum with edge records ``(u, w, psi_u, psi_w)``,
+    given in any order and either orientation."""
+    records = sorted((u, w, p, q) if u <= w else (w, u, q, p) for u, w, p, q in records)
+    return DecoratedStratum(
+        StableGraph(genera, legs, tuple((u, w) for u, w, _p, _q in records)),
+        leg_psi,
+        tuple((p, q) for _u, _w, p, q in records),
+        kappa,
+    )
 
 
 # ---------------------------------------------------------------------------

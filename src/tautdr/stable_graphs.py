@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -543,6 +544,7 @@ def _graph_isomorphisms(
     return out
 
 
+@lru_cache(maxsize=None)
 def automorphism_count(graph: StableGraph) -> int:
     """Order of the automorphism group acting on half-edges.
 

@@ -145,6 +145,34 @@ def psi_integral_genus0(exponents):
     return Fraction(factorial(n - 3), denominator)
 
 
+def bssz_dr_psi_integral(g, A):
+    """int over DR_g(A) of psi_1^(2g - 3 + n), n = len(A), by the closed form
+    of Buryak-Shadrin-Spitz-Zvonkine (arXiv:1211.5273):
+
+        [z^(2g)] prod_{i >= 2} S(a_i z) / S(z),   S(z) = sinh(z/2) / (z/2).
+
+    Series are exact lists of coefficients of z^0, z^2, ..., z^(2g)."""
+
+    def s_series(a):
+        # sinh(az/2) / (az/2) = sum_k (az)^(2k) / (4^k (2k+1)!)
+        return [Fraction(a ** (2 * k), 4**k * factorial(2 * k + 1)) for k in range(g + 1)]
+
+    def times(x, y):
+        return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(g + 1)]
+
+    numerator = [Fraction(1)] + [Fraction(0)] * g
+    for a in A[1:]:
+        numerator = times(numerator, s_series(a))
+    # divide by S(z), whose constant term is 1
+    denominator = s_series(1)
+    quotient = []
+    for k in range(g + 1):
+        quotient.append(
+            numerator[k] - sum(quotient[i] * denominator[k - i] for i in range(k))
+        )
+    return quotient[g]
+
+
 def brute_weighting_sum(graph, leg_values, r, profile):
     """Sum of prod_e (w_e (r - w_e))^profile[e] over all weightings mod r.
 

@@ -23,6 +23,7 @@ from oracles import (
     bipartite_raw,
     brute_bipartite_graphs,
     brute_stable_graphs,
+    bssz_dr_psi_integral,
     psi_integral_genus0,
     stable_graph_key,
 )
@@ -40,10 +41,12 @@ from tautdr.pixton import (
 )
 from tautdr.qpoly import newton_interpolate
 from tautdr.series import assemble_t0
-from tautdr.stable_graphs import StableGraph, enumerate_stable_graphs
+from tautdr.stable_graphs import StableGraph, enumerate_stable_graphs, trivial_graph
 
 # Wall-clock budget per check, in seconds.
-BUDGETS = {1: 10, 2: 30, 3: 30, 4: 300, 5: 300, 6: 60, 7: 1, 8: 1, 9: 120, 10: 60}
+BUDGETS = {
+    1: 10, 2: 30, 3: 30, 4: 300, 5: 300, 6: 60, 7: 1, 8: 1, 9: 120, 10: 60, 11: 30,
+}
 
 
 class _Check:
@@ -409,3 +412,32 @@ def test_10_three_coupled_cycle_variables(check):
         assert len(report["pairings"]) == 7
         assert all(value == "0" for _label, value in report["pairings"])
         assert report["verdict"] == "incomplete"
+
+
+# ---------------------------------------------------------------------------
+# 11. the double ramification cycle in genus 1 to 3 against the closed form
+#     for its top psi_1 power
+
+
+def test_11_dr_cycle_psi_integrals(check):
+    with check(11, "DR cycles in genus 1-3 against the BSSZ psi_1 integrals"):
+        grid = [
+            (1, (1, -1)),
+            (1, (2, -1, -1)),
+            (2, (0,)),
+            (2, (1, -1)),
+            (2, (2, -2)),
+            (2, (4, -4)),
+            (2, (2, -1, -1)),
+            (2, (3, -1, -2)),
+            (3, (0,)),
+            (3, (0, 0)),
+            (3, (1, -1)),
+            (3, (2, -2)),
+        ]
+        for g, A in grid:
+            n = len(A)
+            psi_power = stratum_class(
+                trivial_graph(g, n), leg_psi=(2 * g - 3 + n,) + (0,) * (n - 1)
+            )
+            assert dr_cycle(g, A).pair(psi_power) == bssz_dr_psi_integral(g, A), (g, A)

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from tautdr import cli
-from tautdr.intersection import ProductCapabilityError, PullbackUnavailableError
+from tautdr.intersection import ProductCapabilityError
 from tautdr.pixton import HeldOutMismatchError, PolynomialityError
 
 
@@ -168,7 +168,6 @@ def test_dr_exit_one_on_failing_verdict(runner, monkeypatch):
     "error, code",
     [
         (ProductCapabilityError, 3),
-        (PullbackUnavailableError, 3),
         (HeldOutMismatchError, 4),
         (PolynomialityError, 4),
     ],

@@ -6,12 +6,15 @@ import pytest
 
 from tautdr import (
     InsertionElement,
+    StableGraph,
     cohft_axiom_predicates,
     example_omega_values,
     insertion_pairing,
     loop_axiom_demo,
     psi_class,
+    stratum_class,
 )
+from tautdr.intersection import ProductCapabilityError
 from tautdr.cohft import (
     BrokenSymmetryFamily,
     ConstantFamily,
@@ -118,6 +121,17 @@ def test_classes_agree_on_formally_distinct_presentations():
     assert classes_agree(a, b)
     assert not classes_agree(a, b.scale(2))
     assert classes_agree(a, a)
+
+
+def test_classes_agree_raises_where_boundary_pairings_are_out_of_range():
+    # two boundary strata of the five-dimensional (2,2) space that pair
+    # equally with every psi/kappa monomial but differ against the
+    # boundary (1/4 and -1/4 against delta_{1,1}): with the boundary
+    # products out of range there is no verdict
+    c1 = stratum_class(StableGraph((0, 0, 0), (1, 2), ((0, 0), (0, 1), (1, 2), (1, 2))))
+    c2 = stratum_class(StableGraph((0, 0, 0), (1, 2), ((0, 0), (0, 2), (1, 1), (1, 2))))
+    with pytest.raises(ProductCapabilityError):
+        classes_agree(c1, c2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Exact intersection numbers and tautological-class arithmetic."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
 from math import factorial
 
@@ -20,7 +20,6 @@ from tautdr import (
 )
 from tautdr.intersection import (
     ProductCapabilityError,
-    PullbackUnavailableError,
     _contraction_structures,
     forgetful_pullback,
     generators_of_degree,
@@ -299,11 +298,67 @@ def test_forgetful_pullback_of_boundary():
     # on (1,2) that is the unique one-nodal irreducible stratum
     loop2 = StableGraph((0,), (0, 0), ((0, 0),))
     assert pulled == stratum_class(loop2)
-    # a decorated boundary term that survives in its ambient dimension
+    # psi at one branch of the node loses the stratum where that branch and
+    # the new marking bubble off: two genus-0 vertices {1,2} | {3} joined
+    # by two edges
     decorated = stratum_class(loop2, edge_psi=((1, 0),))
-    assert not decorated.is_zero()
-    with pytest.raises(PullbackUnavailableError):
-        forgetful_pullback(decorated)
+    loop3 = StableGraph((0,), (0, 0, 0), ((0, 0),))
+    banana = StableGraph((0, 0), (0, 0, 1), ((0, 1), (0, 1)))
+    assert forgetful_pullback(decorated) == stratum_class(
+        loop3, edge_psi=((1, 0),)
+    ) - stratum_class(banana)
+
+
+_PULLBACK_TYPES = [(0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1)]
+
+
+def _generators(g, n, degree):
+    return [cls for _label, cls in generators_of_degree(g, n, degree, include_boundary=True)]
+
+
+@pytest.mark.parametrize("g,n", _PULLBACK_TYPES)
+def test_forgetful_pullback_section_identity(g, n):
+    # the divisor where marking i <= n and the new marking bubble off is a
+    # section of the forgetful map, so pi_* psi_i = 1 and
+    # int pi^*(alpha) psi_i = int alpha
+    for alpha in _generators(g, n, 3 * g - 3 + n):
+        pulled = forgetful_pullback(alpha)
+        for i in range(1, n + 1):
+            assert pulled.pair(psi_class(g, n + 1, i)) == alpha.integrate(), (alpha.terms, i)
+
+
+@pytest.mark.parametrize("g,n", _PULLBACK_TYPES)
+def test_forgetful_pullback_dilaton_and_kappa_projection(g, n):
+    # pi_* psi_{n+1}^(a+1) = kappa_a, where kappa_0 = 2g - 2 + n
+    dim = 3 * g - 3 + n
+    psi_new = psi_class(g, n + 1, n + 1)
+    power = psi_new
+    for a in range(dim + 1):
+        for beta in _generators(g, n, dim - a):
+            expected = (
+                (2 * g - 2 + n) * beta.integrate()
+                if a == 0
+                else beta.pair(kappa_class(g, n, a))
+            )
+            assert forgetful_pullback(beta).pair(power) == expected, (beta.terms, a)
+        power = power.product(psi_new)
+
+
+@pytest.mark.parametrize("g,n", [(0, 4), (0, 5), (1, 1), (1, 2), (1, 3)])
+def test_forgetful_pullback_is_a_ring_homomorphism(g, n):
+    # pi^*(ab) - pi^*(a) pi^*(b) pairs to zero with every generator of the
+    # complementary degree on (g, n + 1)
+    dim = 3 * g - 3 + n
+    gens = [(d, cls) for d in range(1, dim + 1) for cls in _generators(g, n, d)]
+    targets = {d: _generators(g, n + 1, dim + 1 - d) for d in range(2, dim + 1)}
+    for (da, a), (db, b) in combinations_with_replacement(gens, 2):
+        if da + db > dim:
+            continue
+        diff = forgetful_pullback(a.product(b)) - forgetful_pullback(a).product(
+            forgetful_pullback(b)
+        )
+        for other in targets[da + db]:
+            assert diff.pair(other) == 0, (a.terms, b.terms)
 
 
 def test_generators_of_degree_shapes():
